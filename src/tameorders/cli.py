@@ -149,6 +149,14 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; argparse's own 2 means a budget overrun here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -161,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NODES",
         help="cap embedding-search nodes (exceeding exits 2)",
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tameorders",
         description="Analyze tame finite partial orders.",
     )

@@ -24,6 +24,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def is_chain(masks: Iterable[int]) -> bool:
+    """True iff the distinct masks are pairwise nested under inclusion.
+
+    Sorted by size, distinct masks form a chain exactly when each one lies
+    inside the next.
+    """
+    unique = sorted(set(masks), key=int.bit_count)
+    return all(not a & ~b for a, b in zip(unique, unique[1:]))
+
+
 class Poset:
     """Immutable finite strict partial order.
 
@@ -48,13 +58,16 @@ class Poset:
         n = len(elements)
         if len(up) != n:
             raise ValueError("one up mask per element required")
-        down = [0] * n
+        # one pass per distinct up mask; a tame order has at most rank of them
+        holders: dict[int, int] = {}
         for i, mask in enumerate(up):
+            holders[mask] = holders.get(mask, 0) | 1 << i
+        down = [0] * n
+        for mask, below in holders.items():
             if mask >> n:
                 raise ValueError("up mask refers to an element index out of range")
-            bit = 1 << i
             for j in iter_bits(mask):
-                down[j] |= bit
+                down[j] |= below
         self.elements = elements
         self.up_masks = up
         self.down_masks = tuple(down)
@@ -199,14 +212,14 @@ def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
     """Suborder induced on ``subset``, keeping p's element order."""
     keep = sorted({p.index(x) for x in subset})
     pos = {old: new for new, old in enumerate(keep)}
+    keep_mask = sum(1 << old for old in keep)
+    compressed: dict[int, int] = {}
     masks = []
     for old in keep:
-        mask = 0
-        row = p.up_masks[old]
-        for other in keep:
-            if row >> other & 1:
-                mask |= 1 << pos[other]
-        masks.append(mask)
+        row = p.up_masks[old] & keep_mask
+        if row not in compressed:
+            compressed[row] = sum(1 << pos[j] for j in iter_bits(row))
+        masks.append(compressed[row])
     return Poset((p.elements[old] for old in keep), masks)
 
 

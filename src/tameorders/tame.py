@@ -7,50 +7,36 @@ which every report in this module takes for granted and documents.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .embedding import Embedding, embeds_r22, find_embedding, verify_embedding
+from .embedding import Embedding, embeds_r22, find_embedding
 from .errors import (
     BudgetExceeded,
     InternalInvariantViolation,
     NotReduced,
     NotTame,
-    SizeLimitExceeded,
 )
-from .poset import Label, Poset, iter_bits
+from .poset import Label, Poset, is_chain, restrict
 from .templates import order_pair_label, parse_order_pair, r_lambda
 
-_UNION_CLOSURE_LIMIT = 4096
 _BRUTEFORCE_SIZE_LIMIT = 8
 
 
 def u_comparable(p: Poset) -> bool:
     """True iff all up-sets are pairwise comparable under inclusion."""
-    return _pairwise_comparable(p.up_masks)
+    return is_chain(p.up_masks)
 
 
 def d_comparable(p: Poset) -> bool:
     """True iff all down-sets are pairwise comparable under inclusion."""
-    return _pairwise_comparable(p.down_masks)
-
-
-def _pairwise_comparable(masks: Sequence[int]) -> bool:
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    for a, b in zip(unique, unique[1:]):
-        if a & ~b:
-            return False
-    return True
+    return is_chain(p.down_masks)
 
 
 def is_reduced(p: Poset) -> bool:
     """True iff no two distinct elements share (down-set, up-set)."""
-    seen = set()
-    for d, u in zip(p.down_masks, p.up_masks):
-        if (d, u) in seen:
-            return False
-        seen.add((d, u))
-    return True
+    return len(set(zip(p.down_masks, p.up_masks))) == len(p)
 
 
 @dataclass(frozen=True)
@@ -73,30 +59,20 @@ class ReductionResult:
 def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
     """Collapse elements with equal (down-set, up-set) signatures.
 
-    The quotient relation is taken from representatives; equal signatures
-    make this independent of the choice, which ``check=True`` rechecks
-    across every cross pair.
+    The quotient is the suborder induced on the representatives; equal
+    signatures make this independent of the choice, which ``check=True``
+    rechecks across every cross pair.
     """
     class_of: dict[Label, int] = {}
-    reps: list[int] = []
+    reps: list[Label] = []
     by_sig: dict[tuple[int, int], int] = {}
-    for i, x in enumerate(p.elements):
-        sig = (p.down_masks[i], p.up_masks[i])
+    for x, sig in zip(p.elements, zip(p.down_masks, p.up_masks)):
         if sig not in by_sig:
             by_sig[sig] = len(reps)
-            reps.append(i)
+            reps.append(x)
         class_of[x] = by_sig[sig]
-    masks = []
-    for i in reps:
-        mask = 0
-        for c, j in enumerate(reps):
-            if p.up_masks[i] >> j & 1:
-                mask |= 1 << c
-        masks.append(mask)
-    quotient = Poset((p.elements[i] for i in reps), masks)
-    result = ReductionResult(
-        quotient, class_of, tuple(p.elements[i] for i in reps)
-    )
+    quotient = restrict(p, reps)
+    result = ReductionResult(quotient, class_of, tuple(reps))
     if check:
         for ix, x in enumerate(p.elements):
             cx = class_of[x]
@@ -130,20 +106,9 @@ class SetFamily(Sequence):
         return len(self.sets)
 
 
-def _sorted_unique(masks: Sequence[int]) -> tuple[list[int], bool]:
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    linear = all(not a & ~b for a, b in zip(unique, unique[1:]))
-    return unique, linear
-
-
 def _family(p: Poset, masks: Sequence[int]) -> SetFamily:
-    unique, linear = _sorted_unique(masks)
-    return SetFamily(tuple(p.label_set(m) for m in unique), linear)
-
-
-def _cu_masks(p: Poset) -> list[int]:
-    full = (1 << len(p)) - 1
-    return [full & ~m for m in p.up_masks]
+    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    return SetFamily(tuple(p.label_set(m) for m in unique), is_chain(unique))
 
 
 def d_family(p: Poset) -> SetFamily:
@@ -153,46 +118,30 @@ def d_family(p: Poset) -> SetFamily:
 
 def cu_family(p: Poset) -> SetFamily:
     """The distinct up-set complements, inclusion-sorted when linear."""
-    return _family(p, _cu_masks(p))
-
-
-def _frak_d_masks(p: Poset) -> list[int]:
-    """Down-set family completed by unions of inclusion-downward-closed subfamilies.
-
-    A downward-closed subfamily has the same union as an arbitrary one (close
-    any subfamily downward without changing its union), so the completion is
-    the closure of the down-sets plus the empty set under pairwise unions.
-    """
-    base, _ = _sorted_unique(p.down_masks)
-    family = set(base)
-    family.add(0)
-    frontier = list(family)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in base:
-                u = a | b
-                if u not in family:
-                    family.add(u)
-                    fresh.append(u)
-        if len(family) > _UNION_CLOSURE_LIMIT:
-            raise SizeLimitExceeded("union closure of the down-set family blew up")
-        frontier = fresh
-    unique = sorted(family, key=lambda m: (m.bit_count(), m))
-    return unique
+    full = (1 << len(p)) - 1
+    return _family(p, [full & ~m for m in p.up_masks])
 
 
 def frak_d_family(p: Poset) -> SetFamily:
-    """The completed down-set family; equals d_family plus the empty set."""
-    unique = _frak_d_masks(p)
-    linear = all(not a & ~b for a, b in zip(unique, unique[1:]))
-    return SetFamily(tuple(p.label_set(m) for m in unique), linear)
+    """The completed down-set family: the distinct down-sets plus the empty set.
+
+    The completion adds the unions of inclusion-downward-closed subfamilies.
+    On a tame poset the down-sets form a chain, so every such union is a
+    down-set already or empty; the family is built that way on any input,
+    with no size limit.
+    """
+    return _family(p, [0, *p.down_masks])
 
 
 def _require_tame(p: Poset) -> None:
     witness = embeds_r22(p)
     if witness is not None:
         raise NotTame(witness)
+
+
+def _rank(p: Poset) -> int:
+    # distinct up-set complements are as many as distinct up-sets
+    return len(set(p.up_masks))
 
 
 def tame_rank(p: Poset) -> int:
@@ -202,58 +151,74 @@ def tame_rank(p: Poset) -> int:
     witness quadruple) otherwise.
     """
     _require_tame(p)
-    return len(set(_cu_masks(p)))
+    return _rank(p)
 
 
-def _m_values(p: Poset) -> list[int]:
-    frak = _frak_d_masks(p)
-    out = []
-    for dx in p.down_masks:
-        out.append(sum(1 for m in frak if m != dx and not m & ~dx))
-    return out
+def _coordinates(p: Poset) -> tuple[list[int], list[int]]:
+    """(m, M) per element index; the canonical coordinates when p is tame.
 
-
-def _M_values(p: Poset) -> list[int]:
-    cus = set(_cu_masks(p))
-    out = []
-    for cux in _cu_masks(p):
-        out.append(sum(1 for m in cus if m != cux and not m & ~cux))
-    return out
+    The completed down-set family and the up-set complements of a tame
+    poset are chains, so a set's size fixes its position: m(x) is the position of |d(x)| among
+    the distinct down-set sizes plus 0, M(x) that of n - |u(x)| among the
+    distinct up-set complement sizes.
+    """
+    n = len(p)
+    d_sizes = [m.bit_count() for m in p.down_masks]
+    cu_sizes = [n - m.bit_count() for m in p.up_masks]
+    d_pos = {size: k for k, size in enumerate(sorted({0, *d_sizes}))}
+    cu_pos = {size: k for k, size in enumerate(sorted(set(cu_sizes)))}
+    return [d_pos[size] for size in d_sizes], [cu_pos[size] for size in cu_sizes]
 
 
 def m_value(p: Poset, x: Label) -> int:
     """How many members of the completed down-set family sit strictly below d(x)."""
     _require_tame(p)
-    return _m_values(p)[p.index(x)]
+    return _coordinates(p)[0][p.index(x)]
 
 
 def M_value(p: Poset, x: Label) -> int:
     """How many distinct up-set complements sit strictly below cu(x)."""
     _require_tame(p)
-    return _M_values(p)[p.index(x)]
+    return _coordinates(p)[1][p.index(x)]
 
 
 def canonical_embedding(p: Poset) -> Embedding:
     """Embed a reduced tame poset into the template of its tame rank.
 
-    Maps x to the coordinate pair (m(x), M(x)).  The construction cannot
-    fail on reduced tame input; a verification failure therefore raises
-    InternalInvariantViolation rather than returning quietly.
+    Maps x to the coordinate pair (m(x), M(x)).  The template has width
+    r = tame rank <= len(p) and r(r+1)/2 elements; there is no other width
+    limit.  The map is rechecked by arithmetic on the coordinates: the
+    pairs are distinct, 0 <= m <= M < r, and x < y exactly when
+    m(y) > M(x), which is a suffix of the elements sorted by m.  A map that
+    passes embeds p into a template and so proves p tame; the pattern scan
+    runs only when the recheck fails, to raise NotTame with the witness, or
+    InternalInvariantViolation when p is tame after all.
     """
-    _require_tame(p)
     if not is_reduced(p):
+        _require_tame(p)
         raise NotReduced("canonical embedding wants a reduced poset")
-    lam = tame_rank(p)
-    target = r_lambda(lam)
-    ms = _m_values(p)
-    Ms = _M_values(p)
+    n = len(p)
+    rank = _rank(p)
+    ms, Ms = _coordinates(p)
+    by_m = sorted(range(n), key=ms.__getitem__)
+    sorted_m = [ms[i] for i in by_m]
+    above = [0] * (n + 1)  # above[k]: elements at positions >= k of by_m
+    for k in range(n - 1, -1, -1):
+        above[k] = above[k + 1] | 1 << by_m[k]
+    if (
+        len(set(zip(ms, Ms))) != n
+        or not all(0 <= m <= big < rank for m, big in zip(ms, Ms))
+        or any(
+            up != above[bisect_right(sorted_m, big)]
+            for up, big in zip(p.up_masks, Ms)
+        )
+    ):
+        _require_tame(p)
+        raise InternalInvariantViolation("canonical coordinate map failed to embed")
     mapping = {
         x: order_pair_label(ms[i], Ms[i]) for i, x in enumerate(p.elements)
     }
-    emb = Embedding(p, target, mapping)
-    if not verify_embedding(emb):
-        raise InternalInvariantViolation("canonical coordinate map failed to embed")
-    return Embedding(p, target, mapping, verified=True)
+    return Embedding(p, r_lambda(rank), mapping, verified=True)
 
 
 def minimal_rank_bruteforce(
@@ -285,8 +250,7 @@ def check_claim_inequalities(p: Poset) -> bool:
     and y < x, exactly as quantified).
     """
     _require_tame(p)
-    ms = _m_values(p)
-    Ms = _M_values(p)
+    ms, Ms = _coordinates(p)
     n = len(p)
     for i in range(n):
         for j in range(n):
@@ -342,6 +306,5 @@ def is_tame(p: Poset) -> TameReport:
     witness = embeds_r22(p)
     if witness is not None:
         return TameReport(tame=False, witness=witness)
-    rank = len(set(_cu_masks(p)))
     canonical = canonical_embedding(p) if is_reduced(p) else None
-    return TameReport(tame=True, tame_rank=rank, canonical=canonical)
+    return TameReport(tame=True, tame_rank=_rank(p), canonical=canonical)

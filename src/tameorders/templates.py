@@ -20,11 +20,8 @@ from .errors import (
     InvalidMultiplicity,
     InvalidParameter,
     NotTame,
-    SizeLimitExceeded,
 )
-from .poset import Label, Poset, restrict
-
-R_LAMBDA_CAP = 64
+from .poset import Label, Poset, iter_bits, restrict
 
 
 class OrderPair(NamedTuple):
@@ -75,17 +72,17 @@ def parse_order_pair(label: str) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=128)
-def r_lambda(lam: int, *, cap: int = R_LAMBDA_CAP) -> Poset:
+def r_lambda(lam: int) -> Poset:
     """The template order of width ``lam``: lam*(lam+1)/2 coordinate pairs.
 
     Elements are labeled "a,b" and listed lexicographically; the relation
-    (a, b) < (a2, b2) iff b < a2 is already transitively closed.  Widths
-    above ``cap`` (default 64) raise SizeLimitExceeded.
+    (a, b) < (a2, b2) iff b < a2 is already transitively closed.  There is
+    no width limit.  The canonical embedding, and so ``realize`` and the
+    tameness report of a reduced input, build one template, of width
+    r = tame rank <= number of elements.
     """
     if lam < 0:
         raise InvalidParameter("template width must be nonnegative")
-    if lam > cap:
-        raise SizeLimitExceeded(f"template width capped at {cap}")
     labels = []
     betas = []
     for a in range(lam):
@@ -126,12 +123,13 @@ def inflate(
     labels: list[str] = []
     projection: dict[Label, Label] = {}
     masks: list[int] = []
+    expanded_of: dict[int, int] = {}
     for i, x in enumerate(base.elements):
-        expanded = 0
         row = base.up_masks[i]
-        for j in range(len(base)):
-            if row >> j & 1:
-                expanded |= block[j]
+        if row not in expanded_of:
+            # the blocks are disjoint, so their sum is their union
+            expanded_of[row] = sum(block[j] for j in iter_bits(row))
+        expanded = expanded_of[row]
         for copy in range(counts[i]):
             label = InflatedPoint(str(x), copy).label
             labels.append(label)
@@ -200,20 +198,16 @@ def realize(s: Poset) -> RealizeResult:
     from . import tame
 
     reduction = tame.reduce(s)
-    quotient = reduction.quotient
-    emb = tame.canonical_embedding(quotient)
-    members: dict[int, list[Label]] = {c: [] for c in range(len(quotient))}
-    for x in s.elements:
-        members[reduction.class_of[x]].append(x)
-    image_of_class = {
-        c: emb.mapping[reduction.representatives[c]] for c in members
-    }
-    multiplicity = {image_of_class[c]: len(members[c]) for c in members}
-    inflated, _projection = inflate(emb.target, multiplicity)
+    emb = tame.canonical_embedding(reduction.quotient)
+    image_of_class = [emb.mapping[rep] for rep in reduction.representatives]
+    multiplicity: dict[Label, int] = {}
     mapping: dict[Label, Label] = {}
-    for c, xs in members.items():
-        for copy, x in enumerate(xs):
-            mapping[f"{image_of_class[c]}#{copy}"] = x
+    for x in s.elements:
+        point = image_of_class[reduction.class_of[x]]
+        copy = multiplicity.get(point, 0)
+        multiplicity[point] = copy + 1
+        mapping[InflatedPoint(point, copy).label] = x
+    inflated, _projection = inflate(emb.target, multiplicity)
     w = tuple(x for x in inflated.elements if x in mapping)
     iso = Embedding(restrict(inflated, w), s, mapping)
     if not verify_embedding(iso) or len(mapping) != len(s):

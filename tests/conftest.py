@@ -83,6 +83,33 @@ def oracle_longest_chain(p: Poset) -> int:
     return best
 
 
+def oracle_coordinates(p: Poset) -> dict:
+    """Canonical (m, M) per element, counted by subset tests on label sets.
+
+    m(x) counts the members of the completed down-set family (unions of
+    the inclusion-downward-closed subfamilies of the down-sets, the empty
+    union included) strictly inside d(x); M(x) counts the distinct up-set
+    complements strictly inside cu(x).
+    """
+    elements = p.elements
+    down = {x: frozenset(z for z in elements if p.less(z, x)) for x in elements}
+    cu = {x: frozenset(y for y in elements if not p.less(x, y)) for x in elements}
+    downs = set(down.values())
+    completed = set()
+    for size in range(len(downs) + 1):
+        for sub in itertools.combinations(downs, size):
+            if all(a in sub for s in sub for a in downs if a < s):
+                completed.add(frozenset().union(*sub))
+    cus = set(cu.values())
+    return {
+        x: (
+            sum(1 for s in completed if s < down[x]),
+            sum(1 for s in cus if s < cu[x]),
+        )
+        for x in elements
+    }
+
+
 def oracle_posets_by_filter(n: int) -> set[tuple[int, ...]]:
     """All transitively closed irreflexive relations on n points, as mask rows."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]

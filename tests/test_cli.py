@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from tameorders import parse_poset, pattern_s_n2, r_lambda
+from tameorders import format_poset, parse_order_pair, parse_poset, pattern_s_n2, r_lambda
 from tameorders.cli import main
+
+from conftest import chain
 
 
 def run(capsys, *argv):
@@ -46,6 +48,14 @@ class TestGen:
     def test_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit):
             main(["gen", "--r22", "--cummings", "2"])
+
+
+def test_usage_error_exits_1(capsys):
+    # exit 2 is reserved for an exceeded search budget
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 1
+    assert "required" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -197,3 +207,33 @@ class TestBadInput:
         path.write_text("elements: a b\nrel: a b\nrel: b a\n")
         code, _, err = run(capsys, "check", str(path))
         assert code == 1
+
+
+class TestNoWidthCap:
+    """Tame ranks above 64 get answers; the template is as wide as the rank."""
+
+    def run_verbs(self, capsys, path, rank):
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["tame"] and report["tame_rank"] == rank
+        code, out, _ = run(capsys, "rank", str(path))
+        assert code == 0 and out.strip() == str(rank)
+        code, out, _ = run(capsys, "realize", str(path), "--json")
+        assert code == 0
+        return report["embedding"], json.loads(out)["iso"]["map"]
+
+    def test_template_66(self, capsys, tmp_path):
+        path = write_gen(capsys, tmp_path, "r66", "--r-lambda", "66")
+        embedding, iso = self.run_verbs(capsys, path, 66)
+        assert len(embedding) == 66 * 67 // 2
+        for label, coordinates in embedding.items():
+            assert coordinates == list(parse_order_pair(label))
+        assert iso == {f"{label}#0": label for label in embedding}
+
+    def test_chain_90(self, capsys, tmp_path):
+        path = tmp_path / "chain90"
+        path.write_text(format_poset(chain(90)))
+        embedding, iso = self.run_verbs(capsys, path, 90)
+        assert embedding == {f"c{i}": [i, i] for i in range(90)}
+        assert iso == {f"{i},{i}#0": f"c{i}" for i in range(90)}

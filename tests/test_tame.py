@@ -33,7 +33,7 @@ from tameorders import (
     well_founded_rank,
 )
 
-from conftest import antichain, chain, posets
+from conftest import antichain, chain, oracle_coordinates, posets
 
 
 class TestComparability:
@@ -153,6 +153,13 @@ class TestFamilies:
         assert not d_family(pattern_r22()).linear
         assert not cu_family(pattern_r22()).linear
 
+    def test_completion_of_pattern_is_down_sets_plus_empty(self):
+        p = pattern_r22()
+        completed = set(frak_d_family(p).sets)
+        assert completed == set(d_family(p).sets) | {frozenset()}
+        assert completed == {frozenset(), frozenset({"x0"}), frozenset({"x1"})}
+        assert not frak_d_family(p).linear
+
     def test_completion_degenerates_when_pattern_free(self):
         for n in range(1, 5):
             for p in all_labeled_posets(n):
@@ -220,6 +227,20 @@ class TestCoordinateValues:
         with pytest.raises(NotTame):
             M_value(pattern_r22(), "x0")
 
+    def test_match_definition_exhaustive_small(self):
+        for n in range(6):
+            for p in all_labeled_posets(n):
+                if embeds_r22(p) is not None:
+                    continue
+                expected = oracle_coordinates(p)
+                for x in p:
+                    assert (m_value(p, x), M_value(p, x)) == expected[x]
+                if is_reduced(p):
+                    emb = canonical_embedding(p)
+                    assert {
+                        x: parse_order_pair(y) for x, y in emb.mapping.items()
+                    } == expected
+
     def test_template_coordinates_identity(self):
         p = r_lambda(4)
         for label in p.elements:
@@ -250,6 +271,13 @@ class TestCanonicalEmbedding:
     def test_not_tame(self):
         with pytest.raises(NotTame):
             canonical_embedding(pattern_r22())
+
+    def test_not_tame_reported_before_not_reduced(self):
+        twin = build_poset(
+            ["x0", "t0", "x1", "y0", "y1"], [("x0", "y0"), ("t0", "y0"), ("x1", "y1")]
+        )
+        with pytest.raises(NotTame):
+            canonical_embedding(twin)
 
     def test_coordinates_stay_in_domain(self):
         for n in range(5):

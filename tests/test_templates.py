@@ -5,7 +5,6 @@ from tameorders import (
     InvalidMultiplicity,
     InvalidParameter,
     NotTame,
-    SizeLimitExceeded,
     UnknownElement,
     all_labeled_posets,
     build_poset,
@@ -45,9 +44,7 @@ class TestRLambda:
         assert len(r_lambda(8)) == 36
 
     def test_cap(self):
-        with pytest.raises(SizeLimitExceeded):
-            r_lambda(65)
-        assert len(r_lambda(10, cap=10)) == 55
+        assert len(r_lambda(65)) == 2145
 
     def test_negative(self):
         with pytest.raises(InvalidParameter):
@@ -240,6 +237,16 @@ class TestRealize:
         result = realize(p)
         assert verify_embedding(result.iso)
         assert is_isomorphic(restrict(result.inflated, result.w), p)
+
+    def test_chain_70_round_trip(self):
+        p = chain(70)
+        result = realize(p)
+        assert len(result.inflated) == 70 * 71 // 2
+        assert result.iso.mapping == {f"{i},{i}#0": f"c{i}" for i in range(70)}
+        sub = restrict(result.inflated, result.w)
+        assert sub == result.iso.source and verify_embedding(result.iso)
+        m = result.iso.mapping
+        assert {(m[a], m[b]) for a, b in sub.pairs()} == set(p.pairs())
 
     def test_multiplicities_match_class_sizes(self):
         p = build_poset(
