@@ -17,7 +17,9 @@ from . import enumeration, tame, templates
 from .embedding import pattern_r22, pattern_s_n2
 from .errors import (
     BudgetExceeded,
+    FormatError,
     InternalInvariantViolation,
+    InvalidParameter,
     NotReduced,
     NotTame,
     PosetError,
@@ -38,7 +40,11 @@ def _emit_json(payload: dict) -> None:
 
 
 def _load(path: str) -> Poset:
-    return parse_poset(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_poset(text)
 
 
 def _cmd_check(args) -> int:
@@ -49,10 +55,10 @@ def _cmd_check(args) -> int:
     elif report.tame:
         print("tame")
         print(f"tame rank: {report.tame_rank}")
-        if report.canonical is not None:
+        if report.coordinates is not None:
             print("canonical embedding:")
-            for x, y in report.canonical.mapping.items():
-                print(f"  {x} -> {parse_order_pair(y)}")
+            for x, point in report.coordinates.items():
+                print(f"  {x} -> {point}")
         else:
             print("input is not reduced; run reduce for the canonical embedding")
     else:
@@ -140,8 +146,11 @@ def _cmd_gen(args) -> int:
         p = templates.cummings_blocks(args.cummings)
     else:
         n, prob, seed = args.random
-        cfg = enumeration.GeneratorConfig(int(n), float(prob), int(seed))
-        p = enumeration.random_poset(cfg)
+        try:
+            n, prob, seed = int(n), float(prob), int(seed)
+        except ValueError as exc:
+            raise InvalidParameter(f"--random N P SEED: {exc}") from None
+        p = enumeration.random_poset(enumeration.GeneratorConfig(n, prob, seed))
     if args.json:
         _emit_json(poset_json(p))
     else:
@@ -242,10 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(exc, file=sys.stderr)
         return EXIT_BUDGET
-    except InternalInvariantViolation as exc:
+    except (InternalInvariantViolation, ValueError) as exc:
+        # inputs reach the library typed, so a bare ValueError is a library bug
         print(exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except (PosetError, OSError, ValueError) as exc:
+    except (PosetError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,7 +19,7 @@ from .errors import (
     NotTame,
 )
 from .poset import Label, Poset, is_chain, restrict
-from .templates import order_pair_label, parse_order_pair, r_lambda
+from .templates import order_pair_label, r_lambda
 
 _BRUTEFORCE_SIZE_LIMIT = 8
 
@@ -170,33 +170,15 @@ def _coordinates(p: Poset) -> tuple[list[int], list[int]]:
     return [d_pos[size] for size in d_sizes], [cu_pos[size] for size in cu_sizes]
 
 
-def m_value(p: Poset, x: Label) -> int:
-    """How many members of the completed down-set family sit strictly below d(x)."""
-    _require_tame(p)
-    return _coordinates(p)[0][p.index(x)]
+def _canonical_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
+    """Tame rank and the rechecked (m, M) of every element index.
 
-
-def M_value(p: Poset, x: Label) -> int:
-    """How many distinct up-set complements sit strictly below cu(x)."""
-    _require_tame(p)
-    return _coordinates(p)[1][p.index(x)]
-
-
-def canonical_embedding(p: Poset) -> Embedding:
-    """Embed a reduced tame poset into the template of its tame rank.
-
-    Maps x to the coordinate pair (m(x), M(x)).  The template has width
-    r = tame rank <= len(p) and r(r+1)/2 elements; there is no other width
-    limit.  The map is rechecked by arithmetic on the coordinates: the
-    pairs are distinct, 0 <= m <= M < r, and x < y exactly when
-    m(y) > M(x), which is a suffix of the elements sorted by m.  A map that
-    passes embeds p into a template and so proves p tame; the pattern scan
-    runs only when the recheck fails, to raise NotTame with the witness, or
-    InternalInvariantViolation when p is tame after all.
+    The elements of one class share their coordinates.  The recheck: every
+    0 <= m <= M < rank, and the up-set of x is {y : m(y) > M(x)}, a suffix
+    of the elements sorted by m.  Passing coordinates embed p into a
+    template and so prove it tame; on failure the pattern scan raises
+    NotTame with the witness, else InternalInvariantViolation.
     """
-    if not is_reduced(p):
-        _require_tame(p)
-        raise NotReduced("canonical embedding wants a reduced poset")
     n = len(p)
     rank = _rank(p)
     ms, Ms = _coordinates(p)
@@ -205,19 +187,36 @@ def canonical_embedding(p: Poset) -> Embedding:
     above = [0] * (n + 1)  # above[k]: elements at positions >= k of by_m
     for k in range(n - 1, -1, -1):
         above[k] = above[k + 1] | 1 << by_m[k]
-    if (
-        len(set(zip(ms, Ms))) != n
-        or not all(0 <= m <= big < rank for m, big in zip(ms, Ms))
-        or any(
-            up != above[bisect_right(sorted_m, big)]
-            for up, big in zip(p.up_masks, Ms)
-        )
+    if not all(0 <= m <= big < rank for m, big in zip(ms, Ms)) or any(
+        up != above[bisect_right(sorted_m, big)] for up, big in zip(p.up_masks, Ms)
     ):
         _require_tame(p)
-        raise InternalInvariantViolation("canonical coordinate map failed to embed")
-    mapping = {
-        x: order_pair_label(ms[i], Ms[i]) for i, x in enumerate(p.elements)
-    }
+        raise InternalInvariantViolation("canonical coordinates failed their recheck")
+    return rank, ms, Ms
+
+
+def m_value(p: Poset, x: Label) -> int:
+    """How many members of the completed down-set family sit strictly below d(x)."""
+    return _canonical_coordinates(p)[1][p.index(x)]
+
+
+def M_value(p: Poset, x: Label) -> int:
+    """How many distinct up-set complements sit strictly below cu(x)."""
+    return _canonical_coordinates(p)[2][p.index(x)]
+
+
+def canonical_embedding(p: Poset) -> Embedding:
+    """Embed a reduced tame poset into the template of its tame rank.
+
+    Maps x to its rechecked coordinate pair (m(x), M(x)).  The template has
+    width r = tame rank <= len(p), with no other limit; this is the one
+    place in the pipeline that builds it.
+    """
+    if not is_reduced(p):
+        _require_tame(p)
+        raise NotReduced("canonical embedding wants a reduced poset")
+    rank, ms, Ms = _canonical_coordinates(p)
+    mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}
     return Embedding(p, r_lambda(rank), mapping, verified=True)
 
 
@@ -267,7 +266,7 @@ class TameReport:
     """Verdict of a tameness check.
 
     Exactly one of ``witness`` (quadruple from the forbidden pattern) and
-    ``tame_rank`` is present.  ``canonical`` is filled only for tame and
+    ``tame_rank`` is present; ``coordinates`` ({x: (m, M)}) only for tame,
     reduced inputs.  Only the 4-element pattern is ever consulted: the
     infinite forbidden pattern cannot embed into a finite order.
     """
@@ -275,13 +274,11 @@ class TameReport:
     tame: bool
     witness: tuple[Label, Label, Label, Label] | None = None
     tame_rank: int | None = None
-    canonical: Embedding | None = None
+    coordinates: dict[Label, tuple[int, int]] | None = None
 
     def __post_init__(self):
         if (self.witness is None) == (self.tame_rank is None):
             raise ValueError("exactly one of witness/tame_rank must be present")
-        if self.canonical is not None and not self.canonical.verified:
-            raise ValueError("canonical embedding must arrive verified")
 
     def to_json(self) -> dict:
         out: dict = {"tame": self.tame}
@@ -289,22 +286,22 @@ class TameReport:
             out["witness"] = [str(x) for x in self.witness]
         if self.tame_rank is not None:
             out["tame_rank"] = self.tame_rank
-        if self.canonical is not None:
-            out["embedding"] = {
-                str(x): list(parse_order_pair(y))
-                for x, y in self.canonical.mapping.items()
-            }
+        if self.coordinates is not None:
+            out["embedding"] = {str(x): list(c) for x, c in self.coordinates.items()}
         return out
 
 
 def is_tame(p: Poset) -> TameReport:
-    """Tameness verdict with witness or rank, plus the canonical embedding.
+    """Tameness verdict with witness or rank, plus the canonical coordinates.
 
-    The canonical embedding is included only when the input is already
-    reduced; reduce first to embed an arbitrary tame order.
+    The coordinates are included only when the input is already reduced;
+    ``canonical_embedding`` gives them as an embedding into the template.
     """
     witness = embeds_r22(p)
     if witness is not None:
         return TameReport(tame=False, witness=witness)
-    canonical = canonical_embedding(p) if is_reduced(p) else None
-    return TameReport(tame=True, tame_rank=_rank(p), canonical=canonical)
+    if not is_reduced(p):
+        return TameReport(tame=True, tame_rank=_rank(p))
+    rank, ms, Ms = _canonical_coordinates(p)
+    coordinates = dict(zip(p.elements, zip(ms, Ms)))
+    return TameReport(tame=True, tame_rank=rank, coordinates=coordinates)

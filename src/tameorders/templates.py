@@ -2,26 +2,22 @@
 
 The template of width ``lam`` lives on the pairs (a, b) with a <= b < lam,
 ordered by (a, b) < (a2, b2) iff b < a2.  Every tame finite order arises,
-up to isomorphism, as a restriction of an inflated template; ``realize``
-walks that pipeline: reduce, embed canonically, inflate each point to its
-class size, restrict to the image.
+up to isomorphism, as a restriction of an inflated template.  The
+coordinates (m(x), M(x)) alone decide that restriction, so ``realize``
+builds no template; ``RealizeResult.inflated`` builds one on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .embedding import Embedding, embeds_r22, verify_embedding
-from .errors import (
-    FormatError,
-    InternalInvariantViolation,
-    InvalidMultiplicity,
-    InvalidParameter,
-    NotTame,
-)
-from .poset import Label, Poset, iter_bits, restrict
+from .embedding import Embedding
+from .errors import FormatError, InvalidMultiplicity, InvalidParameter
+from .poset import Label, Poset, iter_bits
 
 
 class OrderPair(NamedTuple):
@@ -77,9 +73,8 @@ def r_lambda(lam: int) -> Poset:
 
     Elements are labeled "a,b" and listed lexicographically; the relation
     (a, b) < (a2, b2) iff b < a2 is already transitively closed.  There is
-    no width limit.  The canonical embedding, and so ``realize`` and the
-    tameness report of a reduced input, build one template, of width
-    r = tame rank <= number of elements.
+    no width limit.  Of the tame pipeline only ``canonical_embedding`` builds
+    one, of width r = tame rank <= number of elements.
     """
     if lam < 0:
         raise InvalidParameter("template width must be nonnegative")
@@ -167,13 +162,19 @@ def cummings_blocks(o: int) -> Poset:
 class RealizeResult:
     """Outcome of the realization pipeline.
 
-    ``w`` names the selected copies inside ``inflated``; ``iso`` is the
+    ``w`` names the selected copies of the template of width ``rank``,
+    inflated as ``inflated`` (built on first access); ``iso`` is the
     verified isomorphism from the restriction onto the original input.
     """
 
-    inflated: Poset
     w: tuple[Label, ...]
     iso: Embedding
+    rank: int
+
+    @cached_property
+    def inflated(self) -> Poset:
+        multiplicity = Counter(InflatedPoint.parse(x).base for x in self.w)
+        return inflate(r_lambda(self.rank), multiplicity)[0]
 
     def to_json(self) -> dict:
         return {"w": [str(x) for x in self.w], "iso": self.iso.to_json()}
@@ -182,34 +183,26 @@ class RealizeResult:
 def realize(s: Poset) -> RealizeResult:
     """Produce a tame order as a restriction of an inflated template.
 
-    Reduces the input, embeds the quotient canonically into the template of
-    its tame rank, inflates every image point to its class size, and
-    restricts to the image copies.  Copy indices follow ascending element
-    index within each class, so the result is deterministic.  Raises
-    NotTame (with witness) on non-tame input.
-
-    Only the order-theoretic restriction step is modeled here; picking the
-    points out of a larger ambient structure has no combinatorial content
-    beyond it.
+    Element x becomes a copy of the point (m(x), M(x)), so every class
+    inflates its point to the class size.  ``w`` lists the copies in
+    (m, M, element index) order, their order in the inflated template; the
+    copies above one form a suffix of ``w``.  The coordinates' recheck
+    verifies ``iso``.  Raises NotTame (with witness) on non-tame input.
+    Only the order-theoretic restriction step is modeled: picking the
+    points out of a larger ambient structure adds nothing combinatorial.
     """
-    witness = embeds_r22(s)
-    if witness is not None:
-        raise NotTame(witness)
     from . import tame
 
-    reduction = tame.reduce(s)
-    emb = tame.canonical_embedding(reduction.quotient)
-    image_of_class = [emb.mapping[rep] for rep in reduction.representatives]
-    multiplicity: dict[Label, int] = {}
-    mapping: dict[Label, Label] = {}
-    for x in s.elements:
-        point = image_of_class[reduction.class_of[x]]
-        copy = multiplicity.get(point, 0)
-        multiplicity[point] = copy + 1
-        mapping[InflatedPoint(point, copy).label] = x
-    inflated, _projection = inflate(emb.target, multiplicity)
-    w = tuple(x for x in inflated.elements if x in mapping)
-    iso = Embedding(restrict(inflated, w), s, mapping)
-    if not verify_embedding(iso) or len(mapping) != len(s):
-        raise InternalInvariantViolation("realization restriction failed to match")
-    return RealizeResult(inflated, w, replace(iso, verified=True))
+    rank, ms, Ms = tame._canonical_coordinates(s)
+    copies = Counter()
+    labels = []
+    for point in zip(ms, Ms):
+        labels.append(InflatedPoint(order_pair_label(*point), copies[point]).label)
+        copies[point] += 1
+    order = sorted(range(len(s)), key=lambda i: (ms[i], Ms[i], i))
+    sorted_m = [ms[i] for i in order]
+    full = (1 << len(s)) - 1
+    ups = [full ^ ((1 << bisect_right(sorted_m, Ms[i])) - 1) for i in order]
+    source = Poset([labels[i] for i in order], ups)
+    iso = Embedding(source, s, dict(zip(labels, s.elements)), verified=True)
+    return RealizeResult(source.elements, iso, rank)

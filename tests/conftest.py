@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from tameorders import Poset, build_poset
+from tameorders import Poset, build_poset, tame
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -108,6 +109,23 @@ def oracle_coordinates(p: Poset) -> dict:
         )
         for x in elements
     }
+
+
+@pytest.fixture
+def corrupt_coordinates(monkeypatch):
+    """Raise M of element index 0 by one wherever the library computes (m, M).
+
+    M takes every value below the tame rank and so does m, so on a nonempty
+    tame input the shifted M either leaves the template or drops from the
+    up-set of that element every y with m(y) equal to the new M.
+    """
+    real = tame._coordinates
+
+    def shifted(p):
+        ms, Ms = real(p)
+        return ms, [Ms[0] + 1, *Ms[1:]]
+
+    monkeypatch.setattr(tame, "_coordinates", shifted)
 
 
 def oracle_posets_by_filter(n: int) -> set[tuple[int, ...]]:

@@ -5,12 +5,15 @@ criterion; every test also enforces its time budget.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tameorders
 from tameorders import (
     GeneratorConfig,
     all_labeled_posets,
@@ -167,11 +170,17 @@ def test_criterion_09_cummings_blocks():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
+    # the child imports the same library as this process, installed or not
+    src = str(Path(tameorders.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
     def run(argv):
         return subprocess.run(
             [sys.executable, "-m", "tameorders", *argv],
             capture_output=True,
             check=False,
+            env=env,
         )
 
     invocations = [

@@ -1,8 +1,17 @@
 import json
+import sys
 
 import pytest
 
-from tameorders import format_poset, parse_order_pair, parse_poset, pattern_s_n2, r_lambda
+import tameorders
+from tameorders import (
+    format_poset,
+    parse_order_pair,
+    parse_poset,
+    pattern_s_n2,
+    r_lambda,
+    tame,
+)
 from tameorders.cli import main
 
 from conftest import chain
@@ -202,6 +211,28 @@ class TestBadInput:
         code, out, err = run(capsys, "check", str(path))
         assert code == 1 and out == ""
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.poset"
+        path.write_bytes(b"elements: caf\xe9 b\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1 and out == ""
+        assert "UTF-8" in err
+
+    def test_gen_random_non_numeric(self, capsys):
+        code, out, err = run(capsys, "gen", "--random", "x", "0.5", "1")
+        assert code == 1 and out == ""
+        assert "--random" in err
+
+    def test_internal_value_error_exits_4(self, capsys, tmp_path, monkeypatch):
+        def broken(p):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(tame, "is_tame", broken)
+        path = write_gen(capsys, tmp_path, "s2", "--s-n2", "2")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 4 and out == ""
+        assert "library bug" in err
+
     def test_cyclic_file(self, capsys, tmp_path):
         path = tmp_path / "cyc.poset"
         path.write_text("elements: a b\nrel: a b\nrel: b a\n")
@@ -237,3 +268,52 @@ class TestNoWidthCap:
         embedding, iso = self.run_verbs(capsys, path, 90)
         assert embedding == {f"c{i}": [i, i] for i in range(90)}
         assert iso == {f"{i},{i}#0": f"c{i}" for i in range(90)}
+
+
+# two classes of two below one top element
+UNREDUCED = "elements: a b c d e\nrel: a c\nrel: b c\nrel: a d\nrel: b d\nrel: c e\nrel: d e\n"
+
+
+class TestArithmeticTemplates:
+    """check and realize decide everything on (m, M) coordinates."""
+
+    FORBIDDEN = [
+        ("templates", "r_lambda"),
+        ("templates", "inflate"),
+        ("poset", "restrict"),
+        ("embedding", "verify_embedding"),
+        ("tame", "reduce"),
+    ]
+
+    def forbid(self, monkeypatch):
+        """Make each forbidden function raise in every module that holds it."""
+        for module, name in self.FORBIDDEN:
+            original = getattr(getattr(tameorders, module), name)
+
+            def called(*args, _name=f"{module}.{name}", **kwargs):
+                raise AssertionError(f"{_name} was called")
+
+            for mod in list(sys.modules.values()):
+                if mod is not None and mod.__name__.startswith("tameorders"):
+                    if getattr(mod, name, None) is original:
+                        monkeypatch.setattr(mod, name, called)
+
+    def invocations(self, capsys, tmp_path):
+        """check on a reduced tame input, realize on an unreduced one."""
+        reduced = write_gen(capsys, tmp_path, "s3", "--s-n2", "3")
+        unreduced = tmp_path / "unreduced.poset"
+        unreduced.write_text(UNREDUCED)
+        return [["check", "--json", str(reduced)], ["realize", "--json", str(unreduced)]]
+
+    def test_no_template_is_built(self, capsys, tmp_path, monkeypatch):
+        invocations = self.invocations(capsys, tmp_path)
+        expected = [run(capsys, *argv) for argv in invocations]
+        assert [code for code, _, _ in expected] == [0, 0]
+        self.forbid(monkeypatch)
+        assert [run(capsys, *argv) for argv in invocations] == expected
+
+    def test_corrupt_coordinate_exits_4(self, capsys, tmp_path, corrupt_coordinates):
+        for argv in self.invocations(capsys, tmp_path):
+            code, out, err = run(capsys, *argv)
+            assert code == 4 and out == ""
+            assert "recheck" in err

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from tameorders import (
     BudgetExceeded,
+    InternalInvariantViolation,
     M_value,
     NotReduced,
     NotTame,
@@ -58,12 +59,13 @@ class TestIsTame:
         report = is_tame(pattern_r22())
         assert not report.tame
         assert report.witness == ("x0", "x1", "y0", "y1")
-        assert report.tame_rank is None and report.canonical is None
+        assert report.tame_rank is None and report.coordinates is None
 
     def test_template_tame(self):
         report = is_tame(r_lambda(4))
         assert report.tame and report.tame_rank == 4
-        assert report.canonical is not None and report.canonical.verified
+        assert report.coordinates == {x: parse_order_pair(x) for x in r_lambda(4)}
+        assert canonical_embedding(r_lambda(4)).verified
 
     def test_s22_tame(self):
         report = is_tame(pattern_s_n2(2))
@@ -72,7 +74,7 @@ class TestIsTame:
     def test_non_reduced_omits_canonical(self):
         report = is_tame(antichain(3))
         assert report.tame and report.tame_rank == 1
-        assert report.canonical is None
+        assert report.coordinates is None
 
     def test_json_shapes(self):
         bad = is_tame(pattern_r22()).to_json()
@@ -80,6 +82,20 @@ class TestIsTame:
         good = is_tame(pattern_s_n2(2)).to_json()
         assert good["tame"] and good["tame_rank"] == 3
         assert good["embedding"]["x1"] == [0, 0]
+
+    def test_coordinates_agree_with_canonical_embedding(self):
+        for n in range(6):
+            for p in all_labeled_posets(n):
+                if embeds_r22(p) is not None or not is_reduced(p):
+                    continue
+                mapping = canonical_embedding(p).mapping
+                assert is_tame(p).to_json()["embedding"] == {
+                    str(x): list(parse_order_pair(y)) for x, y in mapping.items()
+                }
+
+    def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
+        with pytest.raises(InternalInvariantViolation):
+            is_tame(pattern_s_n2(2))
 
 
 class TestReduce:

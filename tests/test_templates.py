@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from tameorders import (
+    InternalInvariantViolation,
     InvalidMultiplicity,
     InvalidParameter,
     NotTame,
@@ -211,6 +212,11 @@ class TestRealize:
         with pytest.raises(NotTame) as exc:
             realize(pattern_r22())
         assert exc.value.witness == ("x0", "x1", "y0", "y1")
+
+    def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
+        p = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+        with pytest.raises(InternalInvariantViolation):
+            realize(p)
 
     def test_empty(self):
         p = build_poset([], [])
