@@ -57,6 +57,8 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, nodes: int | None):
+        if nodes is not None and nodes < 0:
+            raise InvalidParameter(f"node budget must be nonnegative, got {nodes}")
         self.left = nodes
 
     def spend(self) -> None:
@@ -67,52 +69,80 @@ class _Budget:
         self.left -= 1
 
 
+def _at_least(masks: tuple[int, ...], n: int) -> list[int]:
+    """Entry c is the bitmask of indices whose mask has at least c bits."""
+    by_count = [0] * (n + 1)
+    for t, mask in enumerate(masks):
+        by_count[mask.bit_count()] |= 1 << t
+    for c in range(n - 1, -1, -1):
+        by_count[c] |= by_count[c + 1]
+    return by_count
+
+
 def _search(
     pattern: Poset, target: Poset, order: list[int], budget: _Budget
 ) -> list[int] | None:
-    """Backtracking search for a two-way embedding, assigning ``order`` in turn.
+    """Forward-checking search for a two-way embedding, assigning ``order`` in turn.
+
+    Every pattern element keeps a domain: the bitmask of target indices
+    still consistent with every assignment made so far.  It starts as the
+    targets with at least as many elements below and above.  Placing s at t
+    intersects each later domain with t's up mask, down mask or
+    incomparable mask, as the later element lies above, below or apart from
+    s; none of them holds t, so the map stays injective.  A choice that
+    empties some domain is dropped at once.  Each candidate taken from a
+    domain is one node of ``budget``.
 
     Returns the image index per pattern element, or None.  Candidates are
     tried in ascending target index, so with ``order`` equal to the identity
     the first hit is the lexicographically least embedding.
     """
     k, n = len(pattern), len(target)
-    pd = [m.bit_count() for m in pattern.down_masks]
-    pu = [m.bit_count() for m in pattern.up_masks]
-    td = [m.bit_count() for m in target.down_masks]
-    tu = [m.bit_count() for m in target.up_masks]
-    image = [-1] * k
-    used = [False] * n
+    if k > n:
+        return None
+    up, down = target.up_masks, target.down_masks
+    apart = [((1 << n) - 1) & ~(up[t] | down[t] | 1 << t) for t in range(n)]
+    above, below = _at_least(up, n), _at_least(down, n)
+    domains = [
+        above[pattern.up_masks[s].bit_count()] & below[pattern.down_masks[s].bit_count()]
+        for s in order
+    ]
+    if not all(domains):
+        return None
+    # narrowing[d][j]: the target masks that cut the domain at depth d+1+j
+    # once the element at depth d is placed
+    narrowing = [
+        [
+            up if pattern.up_masks[s] >> s2 & 1
+            else down if pattern.down_masks[s] >> s2 & 1
+            else apart
+            for s2 in order[d + 1:]
+        ]
+        for d, s in enumerate(order)
+    ]
+    placed = [-1] * k
 
-    def assign(depth: int) -> bool:
+    def assign(depth: int, domains: list[int]) -> bool:
         if depth == k:
             return True
-        s = order[depth]
-        for t in range(n):
-            if used[t] or td[t] < pd[s] or tu[t] < pu[s]:
-                continue
+        candidates, later, cuts = domains[0], domains[1:], narrowing[depth]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            t = low.bit_length() - 1
             budget.spend()
-            ok = True
-            for d2 in range(depth):
-                s2 = order[d2]
-                t2 = image[s2]
-                if (pattern.up_masks[s2] >> s & 1) != (target.up_masks[t2] >> t & 1):
-                    ok = False
-                    break
-                if (pattern.up_masks[s] >> s2 & 1) != (target.up_masks[t] >> t2 & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[s] = t
-            used[t] = True
-            if assign(depth + 1):
+            narrowed = [domain & masks[t] for domain, masks in zip(later, cuts)]
+            if all(narrowed) and assign(depth + 1, narrowed):
+                placed[depth] = t
                 return True
-            image[s] = -1
-            used[t] = False
         return False
 
-    return image if assign(0) else None
+    if not assign(0, domains):
+        return None
+    image = [-1] * k
+    for s, t in zip(order, placed):
+        image[s] = t
+    return image
 
 
 def find_embedding(
@@ -121,11 +151,14 @@ def find_embedding(
     """Least two-way embedding of ``pattern`` into ``target``, or None.
 
     When an embedding exists, the returned one is lexicographically least
-    under element index order, and comes back verified.  Absence is decided
-    first with a most-constrained-first assignment order, which fails fast on
-    impossible instances; the witness pass then reruns in index order.
-    ``budget`` caps the total number of attempted assignments across both
-    passes (BudgetExceeded rather than a wrong answer).
+    under element index order, and comes back verified.  Both passes keep a
+    bitmask domain of still-consistent targets per pattern element and cut
+    the later domains after every assignment (see ``_search``).  Absence is
+    decided first with a most-constrained-first assignment order, which
+    fails fast on impossible instances; the witness pass then reruns in
+    index order.  ``budget`` caps the nodes across both passes, a node being
+    one assignment consistent with every earlier one (BudgetExceeded rather
+    than a wrong answer); a negative budget is an InvalidParameter.
     """
     k = len(pattern)
     shared = _Budget(budget)

@@ -158,9 +158,7 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
         quotient = tame.reduce(p, check=True).quotient
         if tame.tame_rank(quotient) != rank:
             fail("rank-invariance", f"quotient rank {tame.tame_rank(quotient)} != {rank}")
-        emb = tame.canonical_embedding(quotient)
-        if not emb.verified:
-            fail("embed-tame", "canonical embedding not verified")
+        tame.canonical_embedding(quotient)  # raises unless its recheck passes
         if find_embedding(quotient, r_lambda(rank), budget=budget) is None:
             fail("embed-tame", f"no brute-force embedding into width {rank}")
         if tame.is_reduced(p):

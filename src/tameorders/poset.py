@@ -124,13 +124,6 @@ class Poset:
         """Labels of the elements whose index bits are set in ``mask``."""
         return frozenset(self.elements[i] for i in iter_bits(mask))
 
-    def mask_of(self, labels: Iterable[Label]) -> int:
-        """Bitmask of the given labels; raises UnknownElement on strangers."""
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.index(label)
-        return mask
-
     def validate(self) -> None:
         """Recheck irreflexivity, transitivity and antisymmetry; raise on failure."""
         n = len(self)

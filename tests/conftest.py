@@ -48,8 +48,13 @@ def oracle_quartet_r22(p: Poset):
     return None
 
 
-def oracle_embedding_exists(pattern: Poset, target: Poset) -> bool:
-    """Brute scan over all injections for a two-way order embedding."""
+def oracle_least_embedding(pattern: Poset, target: Poset) -> dict | None:
+    """First two-way embedding in a brute scan over all injections, or None.
+
+    ``itertools.permutations`` yields the images in lexicographic order of
+    target positions, so the first hit is the lexicographically least
+    embedding under element index order.
+    """
     k = len(pattern)
     src = pattern.elements
     for image in itertools.permutations(target.elements, k):
@@ -64,8 +69,8 @@ def oracle_embedding_exists(pattern: Poset, target: Poset) -> bool:
             if not ok:
                 break
         if ok:
-            return True
-    return False
+            return dict(zip(src, image))
+    return None
 
 
 def oracle_longest_chain(p: Poset) -> int:

@@ -88,9 +88,11 @@ def test_criterion_03_comparability_characterization(sweep):
 
 def test_criterion_04_exhaustive_sweep(sweep):
     reports, elapsed = sweep
-    totals = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
+    totals = {0: 1, 1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}  # OEIS A001035
+    tame_counts = {0: 1, 1: 1, 2: 3, 3: 19, 4: 207, 5: 3451}  # OEIS A079144
     for n in range(6):
         assert reports[n].total == totals[n]
+        assert reports[n].tame_count == tame_counts[n]
         assert reports[n].ok, reports[n].counterexamples[:3]
     assert elapsed <= 60.0
     report("4 (tame iff reduction embeds; non-tame never embeds; n <= 5)")

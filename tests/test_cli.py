@@ -198,6 +198,14 @@ class TestVerify:
         assert code == 2
         assert "budget" in err
 
+    def test_negative_budget_is_input_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "1", "--budget", "-5")
+        assert code == 1 and out == ""
+        assert "nonnegative" in err
+        code, _, err = run(capsys, "verify", "--n", "1", "--budget", "0")
+        assert code == 2
+        assert "exceeded" in err
+
     def test_too_large_without_opt_in(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "6")
         assert code == 1

@@ -19,7 +19,7 @@ from tameorders import (
     witness_embedding,
 )
 
-from conftest import antichain, chain, oracle_embedding_exists, oracle_quartet_r22, posets
+from conftest import antichain, chain, oracle_least_embedding, oracle_quartet_r22, posets
 
 
 class TestPatterns:
@@ -87,11 +87,34 @@ class TestFindEmbedding:
         with pytest.raises(BudgetExceeded):
             find_embedding(pattern_s_n2(2), r_lambda(3), budget=1)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InvalidParameter):
+            find_embedding(chain(1), chain(1), budget=-1)
+        assert find_embedding(build_poset([], []), chain(1), budget=0) is not None
+        with pytest.raises(BudgetExceeded):
+            find_embedding(chain(1), chain(1), budget=0)
+
+    def test_refutation_is_pruned(self):
+        # a dead end is seen when a later domain empties, not when it is
+        # reached: a few hundred nodes where trying every target took ~49k
+        assert find_embedding(pattern_r22(), r_lambda(8), budget=1000) is None
+
+    def test_same_map_as_least_oracle(self):
+        small = [p for n in range(4) for p in all_labeled_posets(n)]
+        templates = [r_lambda(lam) for lam in range(5)]
+        cases = [(p, t) for p in small for t in templates + list(all_labeled_posets(4))]
+        cases += [(p, r_lambda(lam)) for p in all_labeled_posets(4) for lam in range(4)]
+        for p, t in cases:
+            emb = find_embedding(p, t)
+            found = None if emb is None else emb.mapping
+            assert found == oracle_least_embedding(p, t), (p.pairs(), t.pairs())
+
     @given(posets(max_size=5))
     @settings(max_examples=50)
     def test_against_brute_oracle(self, p):
-        present = find_embedding(pattern_r22(), p) is not None
-        assert present == oracle_embedding_exists(pattern_r22(), p)
+        emb = find_embedding(pattern_r22(), p)
+        found = None if emb is None else emb.mapping
+        assert found == oracle_least_embedding(pattern_r22(), p)
 
     @given(posets(max_size=4), posets(max_size=6))
     @settings(max_examples=50)
