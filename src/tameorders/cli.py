@@ -101,9 +101,11 @@ def _cmd_reduce(args) -> int:
         )
     else:
         sys.stdout.write(format_poset(result.quotient))
+        members: list[list[str]] = [[] for _ in result.representatives]
+        for x, c in result.class_of.items():
+            members[c].append(str(x))
         for c, rep in enumerate(result.representatives):
-            members = " ".join(str(x) for x in result.members(c))
-            print(f"# class {c} (rep {rep}): {members}")
+            print(f"# class {c} (rep {rep}): {' '.join(members[c])}")
     return EXIT_OK
 
 

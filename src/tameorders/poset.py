@@ -150,9 +150,14 @@ def build_poset(
 ) -> Poset:
     """Build the poset generated by ``pairs``, closing transitively.
 
-    The input pairs need not be transitively closed.  Raises CycleDetected
-    when the closure would relate an element to itself, UnknownElement when a
-    pair mentions a stranger, and DuplicateElement on repeated identifiers.
+    The input pairs need not be transitively closed, distinct or in any
+    order.  The closure takes O(n + m) big-integer ORs for n elements and m
+    pairs: Kahn's algorithm orders the elements topologically, and a walk
+    back along that order sets each element's up mask to the union of its
+    direct successors and their up masks.  Elements that Kahn's pass cannot
+    place lie on or below a cycle; CycleDetected then names the least-index
+    element that reaches itself.  Raises UnknownElement when a pair mentions
+    a stranger, and DuplicateElement on repeated identifiers.
     """
     elements = tuple(elements)
     index: dict[Label, int] = {}
@@ -170,19 +175,49 @@ def build_poset(
                 f"pair mentions unknown element {label!r}"
             ) from None
 
-    adj = [0] * n
+    direct: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
     for a, b in pairs:
-        adj[lookup(a)] |= 1 << lookup(b)
-    for k in range(n):
-        bit = 1 << k
-        row = adj[k]
-        for i in range(n):
-            if adj[i] & bit:
-                adj[i] |= row
-    for i in range(n):
-        if adj[i] >> i & 1:
-            raise CycleDetected(f"closure relates {elements[i]!r} to itself")
-    return Poset(elements, adj)
+        try:
+            i, j = index[a], index[b]
+        except (KeyError, TypeError):
+            i, j = lookup(a), lookup(b)
+        direct[i].append(j)
+        indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is walked
+        for j in direct[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        unplaced = (i for i in range(n) if indegree[i])
+        i = _least_on_cycle(direct, unplaced)
+        raise CycleDetected(f"closure relates {elements[i]!r} to itself")
+    up = [0] * n
+    reach = [0] * n  # up[i] with bit i itself
+    for i in reversed(order):
+        row = 0
+        for j in direct[i]:
+            row |= reach[j]
+        up[i] = row
+        reach[i] = row | 1 << i
+    return Poset(elements, up)
+
+
+def _least_on_cycle(direct: list[list[int]], candidates: Iterable[int]) -> int:
+    """First of ``candidates`` that reaches itself along the ``direct`` lists."""
+    for i in candidates:
+        seen: set[int] = set()
+        stack = [i]
+        while stack:
+            for j in direct[stack.pop()]:
+                if j == i:
+                    return i
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    raise ValueError("no element lies on a cycle")
 
 
 def down_set(p: Poset, x: Label) -> frozenset[Label]:

@@ -10,7 +10,7 @@ reproduces the poset with identical labels.
 from __future__ import annotations
 
 from .errors import FormatError
-from .poset import Label, Poset, build_poset
+from .poset import Label, Poset, build_poset, iter_bits
 
 
 def _id_of(label: Label) -> str:
@@ -22,8 +22,11 @@ def _id_of(label: Label) -> str:
 
 def format_poset(p: Poset) -> str:
     """Serialize to the text format (full closed relation, index order)."""
-    lines = ["elements: " + " ".join(_id_of(x) for x in p.elements)]
-    lines.extend(f"rel: {_id_of(a)} {_id_of(b)}" for a, b in p.pairs())
+    ids = [_id_of(x) for x in p.elements]
+    lines = ["elements: " + " ".join(ids)]
+    for i, mask in enumerate(p.up_masks):
+        head = f"rel: {ids[i]} "
+        lines.extend(head + ids[j] for j in iter_bits(mask))
     return "\n".join(lines) + "\n"
 
 
@@ -31,21 +34,20 @@ def parse_poset(text: str) -> Poset:
     """Parse the text format; element labels come back as strings."""
     elements: list[str] | None = None
     pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        if tokens[0] == "elements:":
-            if elements is not None:
-                raise FormatError(f"line {lineno}: repeated elements line")
-            elements = tokens[1:]
-        elif tokens[0] == "rel:":
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] == "rel:":
             if elements is None:
                 raise FormatError(f"line {lineno}: rel before elements line")
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: rel wants exactly two ids")
             pairs.append((tokens[1], tokens[2]))
+        elif tokens[0] == "elements:":
+            if elements is not None:
+                raise FormatError(f"line {lineno}: repeated elements line")
+            elements = tokens[1:]
         else:
             raise FormatError(f"line {lineno}: unrecognized directive {tokens[0]!r}")
     if elements is None:
@@ -55,7 +57,8 @@ def parse_poset(text: str) -> Poset:
 
 def poset_json(p: Poset) -> dict:
     """JSON-ready object {elements, relations} mirroring the text format."""
-    return {
-        "elements": [_id_of(x) for x in p.elements],
-        "relations": [[_id_of(a), _id_of(b)] for a, b in p.pairs()],
-    }
+    ids = [_id_of(x) for x in p.elements]
+    relations = []
+    for i, mask in enumerate(p.up_masks):
+        relations.extend([ids[i], ids[j]] for j in iter_bits(mask))
+    return {"elements": ids, "relations": relations}

@@ -116,6 +116,52 @@ def oracle_coordinates(p: Poset) -> dict:
     }
 
 
+def oracle_closure(elements, pairs) -> set[tuple]:
+    """Every (x, y) with a nonempty path x -> y along the raw pairs, by DFS.
+
+    A pair (x, x) in the result means x lies on a cycle.
+    """
+    succ = {x: [] for x in elements}
+    for a, b in pairs:
+        succ[a].append(b)
+    related = set()
+    for x in elements:
+        seen = set()
+        stack = list(succ[x])
+        while stack:
+            y = stack.pop()
+            if y not in seen:
+                seen.add(y)
+                stack.extend(succ[y])
+        related.update((x, y) for y in seen)
+    return related
+
+
+def random_generating_set(rng, n: int, edges: int, *, cyclic: bool = False):
+    """Labels and generating pairs in every form the closure must accept.
+
+    The pairs follow a hidden linear extension that disagrees with the index
+    order, so many run against it; a quarter of them repeat, they come in
+    shuffled order, and the last fifth of the extension is left isolated.
+    ``cyclic`` adds one pair against the extension, which closes a cycle
+    whenever its two ends are already related.
+    """
+    labels = [f"v{i}" for i in range(n)]
+    extension = labels[:]
+    rng.shuffle(extension)
+    linked = range(n - n // 5)
+    pairs = []
+    for _ in range(edges):
+        i, j = sorted(rng.sample(linked, 2))
+        pairs.append((extension[i], extension[j]))
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    if cyclic:
+        i, j = sorted(rng.sample(linked, 2))
+        pairs.append((extension[j], extension[i]))
+    rng.shuffle(pairs)
+    return labels, pairs
+
+
 @pytest.fixture
 def corrupt_coordinates(monkeypatch):
     """Raise M of element index 0 by one wherever the library computes (m, M).

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -14,7 +15,7 @@ from tameorders import (
 )
 from tameorders.cli import main
 
-from conftest import chain
+from conftest import chain, oracle_closure, random_generating_set
 
 
 def run(capsys, *argv):
@@ -153,6 +154,17 @@ class TestReduce:
         assert len(quotient) == 1
         assert "# class 0 (rep a): a b c" in out
 
+    def test_text_class_lines_interleaved(self, capsys, tmp_path):
+        path = tmp_path / "p.poset"
+        path.write_text("elements: a c b d\nrel: a d\nrel: b d\n")
+        code, out, _ = run(capsys, "reduce", str(path))
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "# class 0 (rep a): a b",
+            "# class 1 (rep c): c",
+            "# class 2 (rep d): d",
+        ]
+
     def test_json(self, capsys, tmp_path):
         path = tmp_path / "p.poset"
         path.write_text("elements: a b c\nrel: a c\nrel: b c\n")
@@ -276,6 +288,38 @@ class TestNoWidthCap:
         embedding, iso = self.run_verbs(capsys, path, 90)
         assert embedding == {f"c{i}": [i, i] for i in range(90)}
         assert iso == {f"{i},{i}#0": f"c{i}" for i in range(90)}
+
+
+class TestLargeInputs:
+    """Inputs whose closure took n^2 loop steps before it went topological."""
+
+    def test_antichain_10000(self, capsys, tmp_path):
+        labels = [f"a{i}" for i in range(10_000)]
+        path = tmp_path / "antichain"
+        path.write_text("elements: " + " ".join(labels) + "\n")
+        p = parse_poset(path.read_text())
+        assert len(p) == 10_000 and p.num_relations == 0
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == {"tame": True, "tame_rank": 1}
+
+    def test_sparse_order_3000(self, capsys, tmp_path):
+        labels, pairs = random_generating_set(random.Random(3000), 3000, 3000)
+        related = oracle_closure(labels, pairs)
+        path = tmp_path / "sparse"
+        path.write_text(
+            "elements: " + " ".join(labels) + "\n"
+            + "".join(f"rel: {a} {b}\n" for a, b in pairs)
+        )
+        p = parse_poset(path.read_text())
+        assert set(p.pairs()) == related
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 3
+        report = json.loads(out)
+        assert report["tame"] is False
+        x, x2, y, y2 = quad = report["witness"]
+        wanted = {(x, y), (x2, y2)}
+        assert {(u, v) for u in quad for v in quad if (u, v) in related} == wanted
 
 
 # two classes of two below one top element

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -10,6 +12,7 @@ from tameorders import (
     cu_set,
     down_set,
     is_isomorphic,
+    parse_poset,
     pattern_r22,
     pattern_s_n2,
     r_lambda,
@@ -18,7 +21,14 @@ from tameorders import (
     well_founded_rank,
 )
 
-from conftest import antichain, chain, oracle_longest_chain, posets
+from conftest import (
+    antichain,
+    chain,
+    oracle_closure,
+    oracle_longest_chain,
+    posets,
+    random_generating_set,
+)
 
 
 class TestBuildPoset:
@@ -55,6 +65,53 @@ class TestBuildPoset:
         p = build_poset(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
         assert p.less("a", "d")
         p.validate()
+
+
+class TestClosureOracle:
+    """build_poset against a DFS over the raw pairs that shares none of its code."""
+
+    def test_random_generating_sets(self):
+        rng = random.Random(20141)
+        for _ in range(150):
+            n = rng.randint(0, 40)
+            edges = rng.randint(0, 2 * n) if n > 1 else 0
+            labels, pairs = random_generating_set(rng, n, edges)
+            p = build_poset(labels, pairs)
+            assert set(p.pairs()) == oracle_closure(labels, pairs)
+
+    def test_random_cycles_name_least_index_element(self):
+        rng = random.Random(20142)
+        cyclic = 0
+        for _ in range(150):
+            n = rng.randint(2, 40)
+            labels, pairs = random_generating_set(rng, n, 2 * n, cyclic=True)
+            related = oracle_closure(labels, pairs)
+            on_cycle = [x for x in labels if (x, x) in related]
+            if not on_cycle:
+                assert set(build_poset(labels, pairs).pairs()) == related
+                continue
+            cyclic += 1
+            with pytest.raises(CycleDetected) as info:
+                build_poset(labels, pairs)
+            assert str(info.value) == f"closure relates {on_cycle[0]!r} to itself"
+        assert cyclic >= 50
+
+    def test_self_loop(self):
+        with pytest.raises(CycleDetected) as info:
+            parse_poset("elements: z a\nrel: z a\nrel: a a\n")
+        assert str(info.value) == "closure relates 'a' to itself"
+
+    def test_cycle_named_by_its_least_element(self):
+        # d (index 0) lies below the cycle and u (index 1) above it
+        labels = ["d", "u", "c1", "c2"]
+        pairs = [("u", "c1"), ("c1", "c2"), ("c2", "c1"), ("c2", "d")]
+        assert [x for x in labels if (x, x) in oracle_closure(labels, pairs)] == [
+            "c1",
+            "c2",
+        ]
+        with pytest.raises(CycleDetected) as info:
+            build_poset(labels, pairs)
+        assert str(info.value) == "closure relates 'c1' to itself"
 
 
 class TestSetQueries:

@@ -4,6 +4,7 @@ from hypothesis import given
 from tameorders import (
     CycleDetected,
     FormatError,
+    Poset,
     UnknownElement,
     cummings_blocks,
     format_poset,
@@ -101,6 +102,22 @@ def test_json_object_shape():
     obj = poset_json(pattern_s_n2(2))
     assert obj["elements"] == ["x0", "x1", "y0", "y1"]
     assert ["x1", "y1"] in obj["relations"]
+
+
+@pytest.mark.parametrize("emit", [format_poset, poset_json])
+@pytest.mark.parametrize(
+    "elements, up_masks, bad",
+    [
+        (["a b"], [0], "a b"),
+        ([""], [0], ""),
+        (["a", "x\ty", "c d"], [0b110, 0, 0], "x\ty"),
+        (["a", "b\n"], [0b10, 0], "b\n"),
+    ],
+)
+def test_unprintable_label_rejected(emit, elements, up_masks, bad):
+    with pytest.raises(FormatError) as info:
+        emit(Poset(elements, up_masks))
+    assert str(info.value) == f"label {bad!r} is not a printable identifier"
 
 
 @given(posets())
