@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 parse/IO/usage errors, 2 search budget exceeded,
 3 property-negative verdicts (not tame, not reduced, counterexamples found),
 4 internal invariant violations.  With --json the standard output is a
-single JSON document; diagnostics go to stderr.
+single JSON document on one line, on every exit except an argparse usage
+error; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -34,9 +36,28 @@ EXIT_BUDGET = 2
 EXIT_NEGATIVE = 3
 EXIT_INTERNAL = 4
 
+# word boundaries inside a class name: NotTame -> Not|Tame, OSError -> OS|Error
+_CAMEL_BREAK = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # one compact line: with indent set, CPython encodes in pure Python
+    print(json.dumps(payload, sort_keys=True))
+
+
+def _fail(args, exc: Exception, code: int, payload: dict | None = None) -> int:
+    """Report ``exc`` on stderr, and under --json as one document; return ``code``.
+
+    The document defaults to {"error": kind, "message": text}, kind being
+    the exception's class name in kebab case (CycleDetected -> cycle-detected).
+    """
+    if args.json:
+        if payload is None:
+            kind = _CAMEL_BREAK.sub("-", type(exc).__name__).lower()
+            payload = {"error": kind, "message": str(exc)}
+        _emit_json(payload)
+    print(exc, file=sys.stderr)
+    return code
 
 
 def _load(path: str) -> Poset:
@@ -241,25 +262,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except NotTame as exc:
-        if args.json:
-            _emit_json({"error": "not-tame", "witness": [str(x) for x in exc.witness]})
-        print(exc, file=sys.stderr)
-        return EXIT_NEGATIVE
+        witness = [str(x) for x in exc.witness]
+        return _fail(args, exc, EXIT_NEGATIVE, {"error": "not-tame", "witness": witness})
     except NotReduced as exc:
-        if args.json:
-            _emit_json({"error": "not-reduced"})
-        print(exc, file=sys.stderr)
-        return EXIT_NEGATIVE
+        return _fail(args, exc, EXIT_NEGATIVE, {"error": "not-reduced"})
     except BudgetExceeded as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_BUDGET
+        return _fail(args, exc, EXIT_BUDGET)
     except (InternalInvariantViolation, ValueError) as exc:
         # inputs reach the library typed, so a bare ValueError is a library bug
-        print(exc, file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(args, exc, EXIT_INTERNAL)
     except (PosetError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(args, exc, EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
+from operator import itemgetter
 
 from .errors import (
     CycleDetected,
@@ -34,6 +35,24 @@ def is_chain(masks: Iterable[int]) -> bool:
     return all(not a & ~b for a, b in zip(unique, unique[1:]))
 
 
+def _transpose(up: tuple[int, ...]) -> tuple[int, ...]:
+    """Down masks of the up masks ``up``: bit i of row j set iff bit j of row i is.
+
+    One pass per distinct up mask; a tame order has at most rank of them.
+    """
+    n = len(up)
+    holders: dict[int, int] = {}
+    for i, mask in enumerate(up):
+        holders[mask] = holders.get(mask, 0) | 1 << i
+    down = [0] * n
+    for mask, below in holders.items():
+        if mask >> n:
+            raise ValueError("up mask refers to an element index out of range")
+        for j in iter_bits(mask):
+            down[j] |= below
+    return tuple(down)
+
+
 class Poset:
     """Immutable finite strict partial order.
 
@@ -55,23 +74,32 @@ class Poset:
                 raise DuplicateElement(f"duplicate element {label!r}")
             index[label] = i
         up = tuple(up_masks)
-        n = len(elements)
-        if len(up) != n:
+        if len(up) != len(elements):
             raise ValueError("one up mask per element required")
-        # one pass per distinct up mask; a tame order has at most rank of them
-        holders: dict[int, int] = {}
-        for i, mask in enumerate(up):
-            holders[mask] = holders.get(mask, 0) | 1 << i
-        down = [0] * n
-        for mask, below in holders.items():
-            if mask >> n:
-                raise ValueError("up mask refers to an element index out of range")
-            for j in iter_bits(mask):
-                down[j] |= below
         self.elements = elements
         self.up_masks = up
-        self.down_masks = tuple(down)
+        self.down_masks = _transpose(up)
         self._index = index
+
+    @classmethod
+    def _trusted(
+        cls,
+        elements: tuple[Label, ...],
+        up: tuple[int, ...],
+        down: tuple[int, ...],
+        index: dict[Label, int],
+    ) -> Poset:
+        """Instance from distinct labels, their index dict and closed masks.
+
+        Skips every check and the transpose: the caller guarantees that
+        ``down`` is the transpose of ``up``, which :meth:`validate` rechecks.
+        """
+        self = object.__new__(cls)
+        self.elements = elements
+        self.up_masks = up
+        self.down_masks = down
+        self._index = index
+        return self
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -125,8 +153,20 @@ class Poset:
         return frozenset(self.elements[i] for i in iter_bits(mask))
 
     def validate(self) -> None:
-        """Recheck irreflexivity, transitivity and antisymmetry; raise on failure."""
+        """Recheck the masks and the order axioms; raise on failure.
+
+        The down masks must be exactly the transpose of the up masks, and the
+        relation irreflexive, antisymmetric and transitive.
+        """
         n = len(self)
+        if len(self.up_masks) != n or len(self.down_masks) != n:
+            raise ValueError("one up mask and one down mask per element required")
+        transpose = _transpose(self.up_masks)
+        for x, have, want in zip(self.elements, self.down_masks, transpose):
+            if have != want:
+                raise ValueError(
+                    f"down mask of {x!r} is not the transpose of the up masks"
+                )
         for i in range(n):
             mask = self.up_masks[i]
             if mask >> i & 1:
@@ -152,12 +192,14 @@ def build_poset(
 
     The input pairs need not be transitively closed, distinct or in any
     order.  The closure takes O(n + m) big-integer ORs for n elements and m
-    pairs: Kahn's algorithm orders the elements topologically, and a walk
-    back along that order sets each element's up mask to the union of its
-    direct successors and their up masks.  Elements that Kahn's pass cannot
-    place lie on or below a cycle; CycleDetected then names the least-index
-    element that reaches itself.  Raises UnknownElement when a pair mentions
-    a stranger, and DuplicateElement on repeated identifiers.
+    pairs: Kahn's algorithm orders the elements topologically.  A walk back
+    along that order sets each element's up mask to the union of its direct
+    successors and their up masks; a walk forward pushes each element and
+    its down mask to its direct successors, so no mask is transposed.
+    Elements that Kahn's pass cannot place lie on or below a cycle;
+    CycleDetected then names the least-index element that reaches itself.
+    Raises UnknownElement when a pair mentions a stranger, and
+    DuplicateElement on repeated identifiers.
     """
     elements = tuple(elements)
     index: dict[Label, int] = {}
@@ -202,7 +244,12 @@ def build_poset(
             row |= reach[j]
         up[i] = row
         reach[i] = row | 1 << i
-    return Poset(elements, up)
+    down = [0] * n
+    for i in order:
+        below = down[i] | 1 << i
+        for j in direct[i]:
+            down[j] |= below
+    return Poset._trusted(elements, tuple(up), tuple(down), index)
 
 
 def _least_on_cycle(direct: list[list[int]], candidates: Iterable[int]) -> int:
@@ -237,18 +284,37 @@ def cu_set(p: Poset, x: Label) -> frozenset[Label]:
 
 
 def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
-    """Suborder induced on ``subset``, keeping p's element order."""
+    """Suborder induced on ``subset``, keeping p's element order.
+
+    Each distinct kept row, up or down, is compressed once.  Rows wider than
+    64 bits with more than one bit in eight set go through their bit string
+    in one linear pass; the others move one set bit at a time.
+    """
     keep = sorted({p.index(x) for x in subset})
+    width = len(p)
     pos = {old: new for new, old in enumerate(keep)}
     keep_mask = sum(1 << old for old in keep)
-    compressed: dict[int, int] = {}
-    masks = []
-    for old in keep:
-        row = p.up_masks[old] & keep_mask
-        if row not in compressed:
-            compressed[row] = sum(1 << pos[j] for j in iter_bits(row))
-        masks.append(compressed[row])
-    return Poset((p.elements[old] for old in keep), masks)
+    pick = itemgetter(*keep) if width > 64 and keep else None
+    compressed = {0: 0}
+
+    def compress(row: int) -> int:
+        row &= keep_mask
+        out = compressed.get(row)
+        if out is None:
+            if pick is not None and 8 * row.bit_count() > width:
+                out = int("".join(pick(format(row, f"0{width}b")[::-1]))[::-1], 2)
+            else:
+                out = sum(1 << pos[j] for j in iter_bits(row))
+            compressed[row] = out
+        return out
+
+    elements = tuple(p.elements[old] for old in keep)
+    return Poset._trusted(
+        elements,
+        tuple([compress(p.up_masks[old]) for old in keep]),
+        tuple([compress(p.down_masks[old]) for old in keep]),
+        {x: new for new, x in enumerate(elements)},
+    )
 
 
 def well_founded_rank(p: Poset) -> int:

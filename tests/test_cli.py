@@ -367,5 +367,98 @@ class TestArithmeticTemplates:
     def test_corrupt_coordinate_exits_4(self, capsys, tmp_path, corrupt_coordinates):
         for argv in self.invocations(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
-            assert code == 4 and out == ""
+            assert code == 4
+            assert json.loads(out) == {
+                "error": "internal-invariant-violation",
+                "message": err.strip(),
+            }
             assert "recheck" in err
+
+
+class TestJsonDocument:
+    """Under --json every exit prints one compact line of sorted JSON on stdout."""
+
+    def one_document(self, out):
+        assert out.count("\n") == 1 and out.endswith("\n")
+        obj = json.loads(out)
+        assert out == json.dumps(obj, sort_keys=True) + "\n"
+        return obj
+
+    def test_every_verb_compact_sorted(self, capsys, tmp_path):
+        s2 = str(write_gen(capsys, tmp_path, "s2", "--s-n2", "2"))
+        unreduced = tmp_path / "unreduced.poset"
+        unreduced.write_text(UNREDUCED)
+        for argv in [
+            ["check", s2],
+            ["check", str(unreduced)],
+            ["rank", s2],
+            ["embed", s2],
+            ["reduce", str(unreduced)],
+            ["realize", str(unreduced)],
+            ["verify", "--n", "3"],
+            ["verify", "--n", "4", "--samples", "3", "--seed", "1"],
+            ["gen", "--r-lambda", "3"],
+        ]:
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == 0
+            self.one_document(out)
+
+    def test_exit_1_names_the_error(self, capsys, tmp_path):
+        cyclic = tmp_path / "cyc.poset"
+        cyclic.write_text("elements: a b\nrel: a b\nrel: b a\n")
+        malformed = tmp_path / "bad.poset"
+        malformed.write_text("banana\n")
+        for argv, kind in [
+            (["check", str(cyclic)], "cycle-detected"),
+            (["reduce", str(malformed)], "format-error"),
+            (["rank", str(tmp_path / "missing")], "file-not-found-error"),
+            (["gen", "--random", "x", "0.5", "1"], "invalid-parameter"),
+            (["verify", "--n", "1", "--budget", "-5"], "invalid-parameter"),
+        ]:
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 1
+            assert self.one_document(out) == {"error": kind, "message": err.strip()}
+
+    def test_exit_2_budget(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "4", "--budget", "0", "--json")
+        assert code == 2
+        assert self.one_document(out) == {
+            "error": "budget-exceeded",
+            "message": "embedding search exceeded its node budget",
+        }
+        assert err.strip() == "embedding search exceeded its node budget"
+
+    def test_exit_3_payloads_keep_their_keys(self, capsys, tmp_path):
+        r22 = str(write_gen(capsys, tmp_path, "r22", "--r22"))
+        anti = tmp_path / "anti.poset"
+        anti.write_text("elements: a b\n")
+        witness = ["x0", "x1", "y0", "y1"]
+        for argv, payload in [
+            (["rank", r22], {"error": "not-tame", "witness": witness}),
+            (["realize", r22], {"error": "not-tame", "witness": witness}),
+            (["embed", str(anti)], {"error": "not-reduced"}),
+            (["check", r22], {"tame": False, "witness": witness}),
+        ]:
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == 3
+            assert self.one_document(out) == payload
+
+    def test_exit_4_internal(self, capsys, tmp_path, monkeypatch):
+        def broken(p):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(tame, "is_tame", broken)
+        path = write_gen(capsys, tmp_path, "s2", "--s-n2", "2")
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == 4
+        assert self.one_document(out) == {
+            "error": "value-error",
+            "message": "library bug",
+        }
+        assert err.strip() == "library bug"
+
+    def test_usage_error_prints_no_document(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--json"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""

@@ -6,6 +6,7 @@ from hypothesis import given
 from tameorders import (
     CycleDetected,
     DuplicateElement,
+    Poset,
     SizeLimitExceeded,
     UnknownElement,
     build_poset,
@@ -16,6 +17,7 @@ from tameorders import (
     pattern_r22,
     pattern_s_n2,
     r_lambda,
+    reduce,
     restrict,
     up_set,
     well_founded_rank,
@@ -254,3 +256,125 @@ class TestValidate:
     @given(posets())
     def test_generated_posets_validate(self, p):
         p.validate()
+
+    def test_down_masks_must_be_the_transpose(self):
+        p = build_poset(list("abc"), [("a", "b"), ("b", "c")])
+        assert p.down_masks == (0, 0b001, 0b011)
+        for down in [(0, 0b001, 0b001), (0b100, 0b001, 0b011), (0, 0b001)]:
+            forged = Poset._trusted(p.elements, p.up_masks, down, dict(p._index))
+            with pytest.raises(ValueError):
+                forged.validate()
+
+
+def oracle_masks(labels, above, below):
+    """Up and down masks, one bit per related pair, over ``labels`` in order.
+
+    ``above[x]`` and ``below[x]`` are the label sets strictly above and below x.
+    """
+    index = {x: i for i, x in enumerate(labels)}
+
+    def mask(related):
+        return sum(1 << index[y] for y in related if y in index)
+
+    return tuple(mask(above[x]) for x in labels), tuple(mask(below[x]) for x in labels)
+
+
+def graph_order(rng, n, prob):
+    """Random graph order: each pair of a hidden linear extension kept with ``prob``."""
+    labels = [f"v{i}" for i in range(n)]
+    extension = labels[:]
+    rng.shuffle(extension)
+    pairs = [
+        (extension[i], extension[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < prob
+    ]
+    rng.shuffle(pairs)
+    above = {x: set() for x in labels}
+    below = {x: set() for x in labels}
+    for x, y in oracle_closure(labels, pairs):
+        above[x].add(y)
+        below[y].add(x)
+    return labels, pairs, above, below
+
+
+def inflated_chain(levels, copies):
+    """A chain of ``levels`` antichains of ``copies`` elements, from cover pairs."""
+    layer = [[f"c{k}#{c}" for c in range(copies)] for k in range(levels)]
+    labels = [layer[k][c] for c in range(copies) for k in range(levels)]
+    pairs = [(a, b) for k in range(levels - 1) for a in layer[k] for b in layer[k + 1]]
+    above, below = {}, {}
+    for k in range(levels):
+        higher = frozenset(y for rest in layer[k + 1 :] for y in rest)
+        lower = frozenset(y for rest in layer[:k] for y in rest)
+        for x in layer[k]:
+            above[x], below[x] = higher, lower
+    return labels, pairs, above, below
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """Orders on both sides of restrict's kernel switch (width 64, density 1/8)."""
+    rng = random.Random(6)
+    cases = {
+        "dense100": graph_order(rng, 100, 0.5),
+        "dense300": graph_order(rng, 300, 0.5),
+        "sparse400": graph_order(rng, 400, 2 / 400),
+        "sparse1500": graph_order(rng, 1500, 2 / 1500),
+        "inflated_chain50x30": inflated_chain(50, 30),
+    }
+    for n in (63, 64, 65):
+        cases[f"width{n}"] = graph_order(rng, n, 0.5)
+    return cases
+
+
+class TestMaskKernels:
+    """build_poset, restrict and reduce against masks set bit by bit."""
+
+    def assert_masks(self, q, labels, above, below):
+        assert q.elements == tuple(labels)
+        assert (q.up_masks, q.down_masks) == oracle_masks(labels, above, below)
+        q.validate()
+
+    def test_build_poset(self, kernel_cases):
+        for labels, pairs, above, below in kernel_cases.values():
+            self.assert_masks(build_poset(labels, pairs), labels, above, below)
+
+    def test_restrict(self, kernel_cases):
+        rng = random.Random(7)
+        for labels, pairs, above, below in kernel_cases.values():
+            p = build_poset(labels, pairs)
+            subsets = [
+                labels[::2],
+                rng.sample(labels, len(labels) * 9 // 10),
+                [],
+                [labels[-1]],
+                rng.sample(labels, 2),
+            ]
+            for subset in map(set, subsets):
+                kept = [x for x in labels if x in subset]
+                self.assert_masks(restrict(p, subset), kept, above, below)
+
+    def test_reduce(self, kernel_cases):
+        for labels, pairs, above, below in kernel_cases.values():
+            classes: dict = {}
+            for x in labels:
+                signature = (frozenset(below[x]), frozenset(above[x]))
+                classes.setdefault(signature, []).append(x)
+            reps = [members[0] for members in classes.values()]
+            result = reduce(build_poset(labels, pairs))
+            assert list(result.representatives) == reps
+            assert result.class_of == {
+                x: c for c, members in enumerate(classes.values()) for x in members
+            }
+            self.assert_masks(result.quotient, reps, above, below)
+
+    def test_kernels_both_taken(self, kernel_cases):
+        """The cases reach the bit-string kernel and stay off it at width 64."""
+        wide = []
+        for labels, pairs, _, _ in kernel_cases.values():
+            n = len(labels)
+            p = build_poset(labels, pairs)
+            wide.append(n > 64 and any(8 * m.bit_count() > n for m in p.up_masks))
+        assert any(wide) and not all(wide)
