@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+import itertools
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from operator import itemgetter
 
 from .errors import (
@@ -23,6 +24,27 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _dense(row: int, width: int) -> bool:
+    """True when ``row`` is better read through its bit string than bit by bit.
+
+    One pass over a ``width``-character string beats three big-integer
+    operations per set bit once the row is wider than a machine word and
+    more than one bit in eight is set.
+    """
+    return width > 64 and 8 * row.bit_count() > width
+
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def at_set_bits(items: Sequence, row: int) -> Iterator:
+    """The ``items`` at the set bit positions of ``row``, in ascending order."""
+    if _dense(row, len(items)):
+        selectors = format(row, "b")[::-1].encode().translate(_ZERO_ONE)
+        return itertools.compress(items, selectors)
+    return map(items.__getitem__, iter_bits(row))
 
 
 def is_chain(masks: Iterable[int]) -> bool:
@@ -191,15 +213,8 @@ def build_poset(
     """Build the poset generated by ``pairs``, closing transitively.
 
     The input pairs need not be transitively closed, distinct or in any
-    order.  The closure takes O(n + m) big-integer ORs for n elements and m
-    pairs: Kahn's algorithm orders the elements topologically.  A walk back
-    along that order sets each element's up mask to the union of its direct
-    successors and their up masks; a walk forward pushes each element and
-    its down mask to its direct successors, so no mask is transposed.
-    Elements that Kahn's pass cannot place lie on or below a cycle;
-    CycleDetected then names the least-index element that reaches itself.
-    Raises UnknownElement when a pair mentions a stranger, and
-    DuplicateElement on repeated identifiers.
+    order; :func:`_close` closes them.  Raises UnknownElement when a pair
+    mentions a stranger, and DuplicateElement on repeated identifiers.
     """
     elements = tuple(elements)
     index: dict[Label, int] = {}
@@ -207,7 +222,6 @@ def build_poset(
         if label in index:
             raise DuplicateElement(f"duplicate element {label!r}")
         index[label] = i
-    n = len(elements)
 
     def lookup(label: Label) -> int:
         try:
@@ -217,13 +231,39 @@ def build_poset(
                 f"pair mentions unknown element {label!r}"
             ) from None
 
-    direct: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
+    src: list[int] = []
+    dst: list[int] = []
     for a, b in pairs:
         try:
             i, j = index[a], index[b]
         except (KeyError, TypeError):
             i, j = lookup(a), lookup(b)
+        src.append(i)
+        dst.append(j)
+    return _close(elements, index, src, dst)
+
+
+def _close(
+    elements: tuple[Label, ...],
+    index: dict[Label, int],
+    src: list[int],
+    dst: list[int],
+) -> Poset:
+    """The poset on ``elements`` generated by the index pairs ``src[k] < dst[k]``.
+
+    ``index`` maps each of the distinct ``elements`` to its position.  The
+    closure takes O(n + m) big-integer ORs for n elements and m pairs:
+    Kahn's algorithm orders the elements topologically.  A walk back along
+    that order sets each element's up mask to the union of its direct
+    successors and their up masks; a walk forward pushes each element and
+    its down mask to its direct successors, so no mask is transposed.
+    Elements that Kahn's pass cannot place lie on or below a cycle;
+    CycleDetected then names the least-index element that reaches itself.
+    """
+    n = len(elements)
+    direct: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
+    for i, j in zip(src, dst):
         direct[i].append(j)
         indegree[j] += 1
     order = [i for i in range(n) if not indegree[i]]
@@ -286,9 +326,9 @@ def cu_set(p: Poset, x: Label) -> frozenset[Label]:
 def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
     """Suborder induced on ``subset``, keeping p's element order.
 
-    Each distinct kept row, up or down, is compressed once.  Rows wider than
-    64 bits with more than one bit in eight set go through their bit string
-    in one linear pass; the others move one set bit at a time.
+    Each distinct kept row, up or down, is compressed once.  Dense rows (see
+    :func:`_dense`) go through their bit string in one linear pass; the
+    others move one set bit at a time.
     """
     keep = sorted({p.index(x) for x in subset})
     width = len(p)
@@ -301,7 +341,7 @@ def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
         row &= keep_mask
         out = compressed.get(row)
         if out is None:
-            if pick is not None and 8 * row.bit_count() > width:
+            if _dense(row, width):
                 out = int("".join(pick(format(row, f"0{width}b")[::-1]))[::-1], 2)
             else:
                 out = sum(1 << pos[j] for j in iter_bits(row))

@@ -9,7 +9,7 @@ builds no template; ``RealizeResult.inflated`` builds one on demand.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -186,8 +186,9 @@ def realize(s: Poset) -> RealizeResult:
     Element x becomes a copy of the point (m(x), M(x)), so every class
     inflates its point to the class size.  ``w`` lists the copies in
     (m, M, element index) order, their order in the inflated template; the
-    copies above one form a suffix of ``w``.  The coordinates' recheck
-    verifies ``iso``.  Raises NotTame (with witness) on non-tame input.
+    copies above one form a suffix of ``w``, and the copies below it a
+    prefix of ``w`` sorted by M, so no mask is transposed.  The coordinates'
+    recheck verifies ``iso``.  Raises NotTame (with witness) on non-tame input.
     Only the order-theoretic restriction step is modeled: picking the
     points out of a larger ambient structure adds nothing combinatorial.
     """
@@ -199,10 +200,20 @@ def realize(s: Poset) -> RealizeResult:
     for point in zip(ms, Ms):
         labels.append(InflatedPoint(order_pair_label(*point), copies[point]).label)
         copies[point] += 1
-    order = sorted(range(len(s)), key=lambda i: (ms[i], Ms[i], i))
+    n = len(s)
+    order = sorted(range(n), key=lambda i: (ms[i], Ms[i], i))
     sorted_m = [ms[i] for i in order]
-    full = (1 << len(s)) - 1
-    ups = [full ^ ((1 << bisect_right(sorted_m, Ms[i])) - 1) for i in order]
-    source = Poset([labels[i] for i in order], ups)
+    full = (1 << n) - 1
+    ups = tuple(full ^ ((1 << bisect_right(sorted_m, Ms[i])) - 1) for i in order)
+    # the copies below x are those with M < m(x): a prefix of the positions by M
+    by_big = sorted(range(n), key=lambda k: Ms[order[k]])
+    sorted_big = [Ms[order[k]] for k in by_big]
+    below = [0] * (n + 1)  # below[k]: the first k positions of by_big
+    for k, pos in enumerate(by_big):
+        below[k + 1] = below[k] | 1 << pos
+    downs = tuple(below[bisect_left(sorted_big, ms[i])] for i in order)
+    elements = tuple(labels[i] for i in order)
+    index = {x: k for k, x in enumerate(elements)}
+    source = Poset._trusted(elements, ups, downs, index)
     iso = Embedding(source, s, dict(zip(labels, s.elements)), verified=True)
     return RealizeResult(source.elements, iso, rank)

@@ -9,13 +9,23 @@ reproduces the poset with identical labels.
 
 from __future__ import annotations
 
+import re
+
 from .errors import FormatError
-from .poset import Label, Poset, build_poset, iter_bits
+from .poset import Label, Poset, _close, at_set_bits, build_poset
+
+# The layout format_poset writes: single spaces and "\n" line ends.  An id
+# is a run of non-isspace characters, so no other str.splitlines boundary
+# falls inside a line of this layout, and the line loop reads each line as
+# the same tokens that one split of a whole chunk yields.
+_ELEMENTS_LINE = re.compile(r"elements:((?: \S+)*)\n")
+_REL_LINES = re.compile(r"(?:rel: \S+ \S+\n)*")
+_CHUNK = 1 << 16
 
 
 def _id_of(label: Label) -> str:
     text = str(label)
-    if not text or any(ch.isspace() for ch in text):
+    if text.split() != [text]:
         raise FormatError(f"label {label!r} is not a printable identifier")
     return text
 
@@ -24,14 +34,48 @@ def format_poset(p: Poset) -> str:
     """Serialize to the text format (full closed relation, index order)."""
     ids = [_id_of(x) for x in p.elements]
     lines = ["elements: " + " ".join(ids)]
-    for i, mask in enumerate(p.up_masks):
-        head = f"rel: {ids[i]} "
-        lines.extend(head + ids[j] for j in iter_bits(mask))
+    for x, mask in zip(ids, p.up_masks):
+        head = f"rel: {x} "
+        lines.extend(head + y for y in at_set_bits(ids, mask))
     return "\n".join(lines) + "\n"
 
 
 def parse_poset(text: str) -> Poset:
-    """Parse the text format; element labels come back as strings."""
+    """Parse the text format; element labels come back as strings.
+
+    Text in the layout :func:`format_poset` writes is read in chunks of
+    about 64 KiB of whole ``rel:`` lines, each split at once and mapped
+    straight to element indices.  Anything else, and any text whose ids
+    repeat or are unknown, goes through the line loop, which gives the
+    same poset and is the one source of error messages.
+    """
+    head = _ELEMENTS_LINE.match(text)
+    if head is None:
+        return _parse_lines(text)
+    elements = head[1].split()
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) < len(elements):
+        return _parse_lines(text)
+    src: list[int] = []
+    dst: list[int] = []
+    start = head.end()
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        if _REL_LINES.fullmatch(chunk) is None:
+            return _parse_lines(text)
+        tokens = chunk.split()
+        try:
+            src += map(index.__getitem__, tokens[1::3])
+            dst += map(index.__getitem__, tokens[2::3])
+        except KeyError:
+            return _parse_lines(text)
+        start = end
+    return _close(tuple(elements), index, src, dst)
+
+
+def _parse_lines(text: str) -> Poset:
+    """The general reader: one line at a time, every directive checked."""
     elements: list[str] | None = None
     pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -59,6 +103,6 @@ def poset_json(p: Poset) -> dict:
     """JSON-ready object {elements, relations} mirroring the text format."""
     ids = [_id_of(x) for x in p.elements]
     relations = []
-    for i, mask in enumerate(p.up_masks):
-        relations.extend([ids[i], ids[j]] for j in iter_bits(mask))
+    for x, mask in zip(ids, p.up_masks):
+        relations.extend([x, y] for y in at_set_bits(ids, mask))
     return {"elements": ids, "relations": relations}

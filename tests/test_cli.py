@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tameorders
 from tameorders import (
@@ -15,7 +20,13 @@ from tameorders import (
 )
 from tameorders.cli import main
 
-from conftest import chain, oracle_closure, random_generating_set
+from conftest import (
+    chain,
+    oracle_closure,
+    oracle_quartet_r22,
+    posets,
+    random_generating_set,
+)
 
 
 def run(capsys, *argv):
@@ -462,3 +473,102 @@ class TestJsonDocument:
             main(["check", "--json"])
         assert exc.value.code == 1
         assert capsys.readouterr().out == ""
+
+
+FILE_VERBS = ("check", "rank", "embed", "reduce", "realize")
+
+
+@st.composite
+def cli_files(draw):
+    """File bytes and, per file verb, the documented exit code and error kind.
+
+    Valid files get their codes from brute-force oracles: tame when no four
+    elements induce two disjoint 2-chains, reduced when no two elements
+    share their down-set and up-set.
+    """
+    p = draw(posets(max_size=6))
+    kind = draw(
+        st.sampled_from(
+            [
+                "valid", "duplicate rel", "huge label", "malformed", "cyclic",
+                "empty", "non-UTF-8", "duplicate id", "unknown id",
+            ]
+        )
+    )
+    names = {x: x for x in p.elements}
+    if kind == "huge label" and names:
+        names[draw(st.sampled_from(p.elements))] = "L" * draw(st.integers(1000, 100_000))
+    lines = ["elements: " + " ".join(names.values())]
+    lines += [f"rel: {names[x]} {names[y]}" for x, y in p.pairs()]
+    head = names and next(iter(names.values()))
+    if kind == "duplicate rel":
+        lines += draw(st.lists(st.sampled_from(lines[1:] or [""]), min_size=1, max_size=3))
+    elif kind == "malformed":
+        bad = draw(st.sampled_from(["banana", "rel: a", "rel: a b c", "elements: z"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    elif kind == "cyclic":
+        x, y = draw(st.sampled_from(p.pairs() or [(head or "q", head or "q")]))
+        lines[0] += "" if head else " q"
+        lines.append(f"rel: {y} {x}")
+    elif kind == "empty":
+        lines = draw(st.sampled_from([[], [""], ["# no elements line"]]))
+    elif kind == "duplicate id":
+        lines[0] += f" {head or 'q q'}"
+    elif kind == "unknown id":
+        lines.append(f"rel: {head or 'stranger'} stranger")
+    data = "".join(line + "\n" for line in lines).encode()
+    if kind == "non-UTF-8":
+        data = data.replace(b"elements:", b"elements: caf\xe9", 1)
+    error = {
+        "malformed": "format-error",
+        "cyclic": "cycle-detected",
+        "empty": "format-error",
+        "non-UTF-8": "format-error",
+        "duplicate id": "duplicate-element",
+        "unknown id": "unknown-element",
+    }.get(kind)
+    if error is not None:
+        return data, {verb: (1, error) for verb in FILE_VERBS}
+    tame = oracle_quartet_r22(p) is None
+    signatures = {
+        (
+            frozenset(z for z in p.elements if p.less(z, x)),
+            frozenset(z for z in p.elements if p.less(x, z)),
+        )
+        for x in p.elements
+    }
+    expected = {verb: (0, None) if tame else (3, "not-tame") for verb in FILE_VERBS}
+    expected["reduce"] = (0, None)
+    if tame and len(signatures) < len(p):
+        expected["embed"] = (3, "not-reduced")
+    return data, expected
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(cli_files())
+@settings(max_examples=60)
+def test_every_file_verb_prints_one_document(case):
+    """Documented exit code, one JSON line on stdout, and the same bytes on a repeat."""
+    data, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.poset"
+        path.write_bytes(data)
+        for verb in FILE_VERBS:
+            argv = [verb, "--json", str(path)]
+            code, out, err = first = call(argv)
+            assert call(argv) == first
+            assert (code, out.count("\n"), out[-1:]) == (expected[verb][0], 1, "\n")
+            document = json.loads(out)
+            assert out == json.dumps(document, sort_keys=True) + "\n"
+            if code == 1:
+                assert document == {"error": expected[verb][1], "message": err.strip()}
+            elif verb == "check":
+                assert document["tame"] is (code == 0)
+            elif code == 3:
+                assert document["error"] == expected[verb][1]

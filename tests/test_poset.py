@@ -12,16 +12,19 @@ from tameorders import (
     build_poset,
     cu_set,
     down_set,
+    format_poset,
     is_isomorphic,
     parse_poset,
     pattern_r22,
     pattern_s_n2,
+    poset_json,
     r_lambda,
     reduce,
     restrict,
     up_set,
     well_founded_rank,
 )
+from tameorders.poset import _dense
 
 from conftest import (
     antichain,
@@ -378,3 +381,18 @@ class TestMaskKernels:
             p = build_poset(labels, pairs)
             wide.append(n > 64 and any(8 * m.bit_count() > n for m in p.up_masks))
         assert any(wide) and not all(wide)
+
+    def test_emitters(self, kernel_cases):
+        """poset_json and format_poset list the closure in index order on both kernels."""
+        dense = set()
+        for name, (labels, pairs, above, _) in kernel_cases.items():
+            if name.startswith("inflated"):
+                continue
+            index = {x: i for i, x in enumerate(labels)}
+            want = [(x, y) for x in labels for y in sorted(above[x], key=index.get)]
+            p = build_poset(labels, pairs)
+            assert [tuple(pair) for pair in poset_json(p)["relations"]] == want
+            lines = format_poset(p).splitlines()
+            assert lines[1:] == [f"rel: {x} {y}" for x, y in want]
+            dense.update(_dense(row, len(labels)) for row in p.up_masks)
+        assert dense == {False, True}

@@ -244,6 +244,14 @@ class TestRealize:
         assert verify_embedding(result.iso)
         assert is_isomorphic(restrict(result.inflated, result.w), p)
 
+    def test_source_masks_validate(self):
+        """realize sets the source's down masks from the coordinates, checked here."""
+        inputs = [p for n in range(6) for p in all_labeled_posets(n)]
+        inputs += [r_lambda(66), chain(90)]
+        for p in inputs:
+            if embeds_r22(p) is None:
+                realize(p).iso.source.validate()
+
     def test_chain_70_round_trip(self):
         p = chain(70)
         result = realize(p)

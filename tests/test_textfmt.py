@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from tameorders import (
     CycleDetected,
     FormatError,
     Poset,
+    PosetError,
     UnknownElement,
     cummings_blocks,
     format_poset,
@@ -14,6 +15,7 @@ from tameorders import (
     poset_json,
     r_lambda,
 )
+from tameorders.textfmt import _parse_lines
 
 from conftest import chain, posets
 
@@ -123,3 +125,126 @@ def test_unprintable_label_rejected(emit, elements, up_masks, bad):
 @given(posets())
 def test_round_trip_generated(p):
     assert parse_poset(format_poset(p)) == p
+
+
+def outcome(parse, text):
+    """The masks ``parse`` builds from ``text``, or its error's type and message."""
+    try:
+        p = parse(text)
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return p.elements, p.up_masks, p.down_masks
+
+
+# every str.splitlines boundary that is not "\n", "\r" or "\r\n"
+LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def perturbed_texts(draw):
+    """format_poset output with one change that moves it off the written layout."""
+    p = draw(posets())
+    lines = format_poset(p).splitlines()
+    ids = list(p.elements) or ["q"]
+    kind = draw(
+        st.sampled_from(
+            [
+                "comment", "blank", "tab", "crlf", "break in elements",
+                "break in rel", "no final newline", "duplicate id", "unknown id",
+                "short rel", "long rel", "cycle",
+            ]
+        )
+    )
+    at = draw(st.integers(0, len(lines)))
+    if kind == "comment":
+        lines.insert(at, "# " + draw(st.sampled_from(ids)))
+    elif kind == "blank":
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    elif kind in ("tab", "break in elements", "break in rel"):
+        rows = {
+            "tab": range(len(lines)),
+            "break in elements": [0],
+            "break in rel": range(1, len(lines)) or [0],
+        }[kind]
+        row = draw(st.sampled_from(rows))
+        line = lines[row]
+        char = "\t" if kind == "tab" else draw(st.sampled_from(LINE_BREAKS))
+        k = draw(st.sampled_from([k for k, c in enumerate(line) if c == " "] or [len(line)]))
+        # replace the space before an id, or put the character just after it
+        if draw(st.booleans()) and k < len(line):
+            lines[row] = line[:k] + char + line[k + 1 :]
+        else:
+            lines[row] = line[: k + 1] + char + line[k + 1 :]
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "no final newline":
+        return "\n".join(lines)
+    elif kind == "duplicate id":
+        lines[0] += " " + draw(st.sampled_from(ids))
+    elif kind == "unknown id":
+        lines.insert(max(at, 1), f"rel: {draw(st.sampled_from(ids))} stranger")
+    elif kind in ("short rel", "long rel"):
+        tokens = [draw(st.sampled_from(ids))] * (1 if kind == "short rel" else 3)
+        lines.insert(at, " ".join(["rel:", *tokens]))
+    else:  # cycle
+        x, y = draw(st.sampled_from(p.pairs() or [(ids[0], ids[0])]))
+        if not p.elements:
+            lines[0] = "elements: q"
+        lines.insert(max(at, 1), f"rel: {y} {x}")
+    return "\n".join(lines) + "\n"
+
+
+@given(perturbed_texts())
+@settings(max_examples=300)
+def test_reader_agrees_with_line_loop(text):
+    assert outcome(parse_poset, text) == outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "elements: a\x0bb\n",
+        "elements: a b\u2028rel: a b\n",
+        "elements: a b\nrel: a b\x1c\n",
+        "elements: a b\nrel: a\x85b\n",
+        "elements: a b\nrel: a b",
+        "elements:  a b\n",
+        "elements: a b \nrel: a b\n",
+        "elements: a b\nrel:  a b\n",
+        "elements: a b\nrel: b a\nrel: a b\n",
+        "elements: a b a\nrel: a b\n",
+        "elements: a b\nrel: a c\n",
+        "elements: a b\nrel: a b c\nrel: a\n",
+        "elements: a\nelements: b\n",
+        "\ufeffelements: a\n",
+        "elements: #a b\nrel: #a b\n",
+    ],
+)
+def test_reader_agrees_with_line_loop_on_edge_cases(text):
+    assert outcome(parse_poset, text) == outcome(_parse_lines, text)
+
+
+BIG_HEAD = "elements: " + " ".join(f"v{i}" for i in range(100)) + "\n"
+BIG_RELS = "".join(f"rel: v{i % 99} v{i % 99 + 1}\n" for i in range(12000))
+
+
+def test_many_chunks_read_as_one():
+    assert len(BIG_RELS) > 2 * 65536
+    text = BIG_HEAD + BIG_RELS
+    assert parse_poset(text).num_relations == 100 * 99 // 2
+    assert outcome(parse_poset, text) == outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "tail, error, message",
+    [
+        ("rel: v1\n", FormatError, "line 12002: rel wants exactly two ids"),
+        ("rel: v1 v2\u2028x\n", FormatError, "line 12003: unrecognized directive 'x'"),
+        ("rel: v1 w\n", UnknownElement, "pair mentions unknown element 'w'"),
+        ("rel: v99 v0\n", CycleDetected, "closure relates 'v0' to itself"),
+    ],
+)
+def test_error_after_64_kib_of_rel_lines(tail, error, message):
+    with pytest.raises(error) as info:
+        parse_poset(BIG_HEAD + BIG_RELS + tail + "rel: v0 v1\n")
+    assert str(info.value) == message
