@@ -237,12 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="oracle sweep over small posets"
     )
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument(
+    mode = p_verify.add_mutually_exclusive_group()
+    mode.add_argument(
         "--exhaustive",
         action="store_true",
         help="force exhaustive mode (allows the slow n=6 sweep)",
     )
-    p_verify.add_argument("--samples", type=int, default=None, metavar="K")
+    mode.add_argument("--samples", type=int, default=None, metavar="K")
     p_verify.add_argument("--seed", type=int, default=0, metavar="S")
     p_verify.set_defaults(run=_cmd_verify)
 

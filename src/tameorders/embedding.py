@@ -6,10 +6,19 @@ pi(x) < pi(y), so both comparability and incomparability are preserved.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .errors import BudgetExceeded, InternalInvariantViolation, InvalidParameter, UnknownElement
+from .errors import (
+    BudgetExceeded,
+    InternalInvariantViolation,
+    InvalidParameter,
+    SizeLimitExceeded,
+    UnknownElement,
+)
 from .poset import Label, Poset, build_poset, is_chain, iter_bits
+
+ISO_SIZE_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -80,29 +89,30 @@ def _at_least(masks: tuple[int, ...], n: int) -> list[int]:
 
 
 def _search(
-    pattern: Poset, target: Poset, order: list[int], budget: _Budget
+    pattern: Poset,
+    order: list[int],
+    tables: tuple[Sequence[int], ...],
+    budget: _Budget,
 ) -> list[int] | None:
     """Forward-checking search for a two-way embedding, assigning ``order`` in turn.
 
-    Every pattern element keeps a domain: the bitmask of target indices
-    still consistent with every assignment made so far.  It starts as the
-    targets with at least as many elements below and above.  Placing s at t
-    intersects each later domain with t's up mask, down mask or
-    incomparable mask, as the later element lies above, below or apart from
-    s; none of them holds t, so the map stays injective.  A choice that
-    empties some domain is dropped at once.  Each candidate taken from a
-    domain is one node of ``budget``.
+    ``tables`` holds the target side, built once per ``find_embedding``
+    call: the up, down and incomparable masks per target index, then the
+    ``_at_least`` tables of the up and down masks.  Every pattern element
+    keeps a domain: the bitmask of target indices still consistent with
+    every assignment made so far.  It starts as the targets with at least
+    as many elements below and above.  Placing s at t intersects each later
+    domain with t's up mask, down mask or incomparable mask, as the later
+    element lies above, below or apart from s; none of them holds t, so the
+    map stays injective.  A choice that empties some domain is dropped at
+    once.  Each candidate taken from a domain is one node of ``budget``.
 
     Returns the image index per pattern element, or None.  Candidates are
     tried in ascending target index, so with ``order`` equal to the identity
     the first hit is the lexicographically least embedding.
     """
-    k, n = len(pattern), len(target)
-    if k > n:
-        return None
-    up, down = target.up_masks, target.down_masks
-    apart = [((1 << n) - 1) & ~(up[t] | down[t] | 1 << t) for t in range(n)]
-    above, below = _at_least(up, n), _at_least(down, n)
+    k = len(pattern)
+    up, down, apart, above, below = tables
     domains = [
         above[pattern.up_masks[s].bit_count()] & below[pattern.down_masks[s].bit_count()]
         for s in order
@@ -160,16 +170,22 @@ def find_embedding(
     one assignment consistent with every earlier one (BudgetExceeded rather
     than a wrong answer); a negative budget is an InvalidParameter.
     """
-    k = len(pattern)
     shared = _Budget(budget)
+    k, n = len(pattern), len(target)
+    if k > n:
+        return None
+    up, down = target.up_masks, target.down_masks
+    full = (1 << n) - 1
+    apart = [full & ~(up[t] | down[t] | 1 << t) for t in range(n)]
+    tables = (up, down, apart, _at_least(up, n), _at_least(down, n))
     degree = [
         pattern.down_masks[i].bit_count() + pattern.up_masks[i].bit_count()
         for i in range(k)
     ]
     decide_order = sorted(range(k), key=lambda i: (-degree[i], i))
-    if _search(pattern, target, decide_order, shared) is None:
+    if _search(pattern, decide_order, tables, shared) is None:
         return None
-    image = _search(pattern, target, list(range(k)), shared)
+    image = _search(pattern, list(range(k)), tables, shared)
     if image is None:
         raise InternalInvariantViolation("embedding vanished between search passes")
     mapping = {
@@ -179,6 +195,22 @@ def find_embedding(
     if not verify_embedding(emb):
         raise InternalInvariantViolation("search produced a non-embedding")
     return replace(emb, verified=True)
+
+
+def is_isomorphic(p: Poset, q: Poset) -> bool:
+    """True iff an order isomorphism p -> q exists.
+
+    Posets of equal size are isomorphic exactly when one embeds two-way into
+    the other, so this is ``find_embedding`` behind a relation-count check;
+    SizeLimitExceeded above ``ISO_SIZE_LIMIT`` elements.
+    """
+    if len(p) > ISO_SIZE_LIMIT or len(q) > ISO_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"isomorphism search limited to {ISO_SIZE_LIMIT} elements"
+        )
+    if len(p) != len(q) or p.num_relations != q.num_relations:
+        return False
+    return find_embedding(p, q) is not None
 
 
 def verify_embedding(e: Embedding) -> bool:

@@ -10,7 +10,7 @@ inequalities must hold.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import tame
@@ -176,6 +176,22 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     return tame_here, failures
 
 
+def _sweep(
+    n: int, posets: Iterable[Poset], budget: int | None
+) -> VerificationReport:
+    """Run ``check_poset`` on each poset in turn and tally the report."""
+    total = 0
+    tame_count = 0
+    counterexamples: list[dict] = []
+    for index, p in enumerate(posets):
+        total += 1
+        tame_here, failures = check_poset(p, budget=budget)
+        tame_count += tame_here
+        for failure in failures:
+            counterexamples.append({"index": index, **failure})
+    return VerificationReport(n, total, tame_count, tuple(counterexamples))
+
+
 def verify_proposition(
     n: int, *, allow_large: bool = False, budget: int | None = None
 ) -> VerificationReport:
@@ -193,16 +209,7 @@ def verify_proposition(
             f"exhaustive verification capped at {cap}"
             + ("" if allow_large else " (n=6 is opt-in via --exhaustive)")
         )
-    total = 0
-    tame_count = 0
-    counterexamples: list[dict] = []
-    for index, p in enumerate(all_labeled_posets(n)):
-        total += 1
-        tame_here, failures = check_poset(p, budget=budget)
-        tame_count += tame_here
-        for failure in failures:
-            counterexamples.append({"index": index, **failure})
-    return VerificationReport(n, total, tame_count, tuple(counterexamples))
+    return _sweep(n, all_labeled_posets(n), budget)
 
 
 def verify_sampled(
@@ -214,15 +221,8 @@ def verify_sampled(
     if count < 0:
         raise InvalidParameter("sample count must be nonnegative")
     rng = random.Random(seed)
-    total = 0
-    tame_count = 0
-    counterexamples: list[dict] = []
-    for index in range(count):
-        cfg = GeneratorConfig(n, rng.random(), rng.getrandbits(32))
-        p = random_poset(cfg)
-        total += 1
-        tame_here, failures = check_poset(p, budget=budget)
-        tame_count += tame_here
-        for failure in failures:
-            counterexamples.append({"index": index, **failure})
-    return VerificationReport(n, total, tame_count, tuple(counterexamples))
+    samples = (
+        random_poset(GeneratorConfig(n, rng.random(), rng.getrandbits(32)))
+        for _ in range(count)
+    )
+    return _sweep(n, samples, budget)

@@ -6,16 +6,9 @@ import itertools
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .errors import (
-    CycleDetected,
-    DuplicateElement,
-    SizeLimitExceeded,
-    UnknownElement,
-)
+from .errors import CycleDetected, DuplicateElement, UnknownElement
 
 Label = Hashable
-
-ISO_SIZE_LIMIT = 30
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -75,6 +68,16 @@ def _transpose(up: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(down)
 
 
+def _index_of(elements: tuple[Label, ...]) -> dict[Label, int]:
+    """Position of each label; DuplicateElement on a repeated one."""
+    index: dict[Label, int] = {}
+    for i, label in enumerate(elements):
+        if label in index:
+            raise DuplicateElement(f"duplicate element {label!r}")
+        index[label] = i
+    return index
+
+
 class Poset:
     """Immutable finite strict partial order.
 
@@ -90,11 +93,7 @@ class Poset:
 
     def __init__(self, elements: Iterable[Label], up_masks: Iterable[int]):
         elements = tuple(elements)
-        index: dict[Label, int] = {}
-        for i, label in enumerate(elements):
-            if label in index:
-                raise DuplicateElement(f"duplicate element {label!r}")
-            index[label] = i
+        index = _index_of(elements)
         up = tuple(up_masks)
         if len(up) != len(elements):
             raise ValueError("one up mask per element required")
@@ -217,11 +216,7 @@ def build_poset(
     mentions a stranger, and DuplicateElement on repeated identifiers.
     """
     elements = tuple(elements)
-    index: dict[Label, int] = {}
-    for i, label in enumerate(elements):
-        if label in index:
-            raise DuplicateElement(f"duplicate element {label!r}")
-        index[label] = i
+    index = _index_of(elements)
 
     def lookup(label: Label) -> int:
         try:
@@ -372,77 +367,3 @@ def well_founded_rank(p: Poset) -> int:
         below = p.down_masks[i]
         rank[i] = max((rank[j] + 1 for j in iter_bits(below)), default=0)
     return max(rank) + 1
-
-
-def _signatures(p: Poset, rounds: int = 2) -> list:
-    """Structural per-element invariants used to prune isomorphism search."""
-    sig: list = [
-        (p.down_masks[i].bit_count(), p.up_masks[i].bit_count())
-        for i in range(len(p))
-    ]
-    for _ in range(rounds):
-        sig = [
-            (
-                sig[i],
-                tuple(sorted(sig[j] for j in iter_bits(p.down_masks[i]))),
-                tuple(sorted(sig[j] for j in iter_bits(p.up_masks[i]))),
-            )
-            for i in range(len(p))
-        ]
-    return sig
-
-
-def is_isomorphic(p: Poset, q: Poset, *, size_limit: int = ISO_SIZE_LIMIT) -> bool:
-    """True iff an order isomorphism p -> q exists.
-
-    Backtracking with signature refinement; intended for instances of at
-    most ``size_limit`` elements (SizeLimitExceeded above that).
-    """
-    if len(p) > size_limit or len(q) > size_limit:
-        raise SizeLimitExceeded(
-            f"isomorphism search limited to {size_limit} elements"
-        )
-    if len(p) != len(q) or p.num_relations != q.num_relations:
-        return False
-    n = len(p)
-    if n == 0:
-        return True
-    sp = _signatures(p)
-    sq = _signatures(q)
-    if sorted(sp) != sorted(sq):
-        return False
-    candidates = [
-        [j for j in range(n) if sq[j] == sp[i]] for i in range(n)
-    ]
-
-    assigned: dict[int, int] = {}
-    used = [False] * n
-
-    def consistent(i: int, j: int) -> bool:
-        for i2, j2 in assigned.items():
-            if (p.up_masks[i2] >> i & 1) != (q.up_masks[j2] >> j & 1):
-                return False
-            if (p.up_masks[i] >> i2 & 1) != (q.up_masks[j] >> j2 & 1):
-                return False
-        return True
-
-    def extend() -> bool:
-        if len(assigned) == n:
-            return True
-        # most-constrained source first keeps symmetric instances cheap
-        best = min(
-            (i for i in range(n) if i not in assigned),
-            key=lambda i: sum(1 for j in candidates[i] if not used[j]),
-        )
-        for j in candidates[best]:
-            if used[j] or not consistent(best, j):
-                continue
-            assigned[best] = j
-            used[j] = True
-            if extend():
-                return True
-            del assigned[best]
-            used[j] = False
-        return False
-
-    return extend()

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from .embedding import Embedding, embeds_r22, find_embedding
 from .errors import (
-    BudgetExceeded,
     InternalInvariantViolation,
     NotReduced,
     NotTame,
+    SizeLimitExceeded,
 )
 from .poset import Label, Poset, is_chain, restrict
 from .templates import order_pair_label, r_lambda
@@ -220,20 +220,18 @@ def canonical_embedding(p: Poset) -> Embedding:
     return Embedding(p, r_lambda(rank), mapping, verified=True)
 
 
-def minimal_rank_bruteforce(
-    p: Poset, *, budget: int | None = None, size_limit: int = _BRUTEFORCE_SIZE_LIMIT
-) -> int:
+def minimal_rank_bruteforce(p: Poset, *, budget: int | None = None) -> int:
     """Least lam such that p embeds into the lam template, by ascending search.
 
-    Restricted to reduced tame posets of at most ``size_limit`` elements
-    (BudgetExceeded above that; the searches grow steeply).
+    Restricted to reduced tame posets of at most ``_BRUTEFORCE_SIZE_LIMIT``
+    elements (SizeLimitExceeded above that; the searches grow steeply).
     """
     _require_tame(p)
     if not is_reduced(p):
         raise NotReduced("minimal rank search wants a reduced poset")
-    if len(p) > size_limit:
-        raise BudgetExceeded(
-            f"minimal rank brute force capped at {size_limit} elements"
+    if len(p) > _BRUTEFORCE_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"minimal rank brute force capped at {_BRUTEFORCE_SIZE_LIMIT} elements"
         )
     for lam in range(len(p) + 1):
         if find_embedding(p, r_lambda(lam), budget=budget) is not None:

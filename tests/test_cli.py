@@ -234,6 +234,14 @@ class TestVerify:
         assert code == 1
         assert "opt-in" in err
 
+    def test_exhaustive_and_samples_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "6", "--exhaustive", "--samples", "2", "--seed", "1"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage:") and "not allowed with" in err
+
 
 class TestBadInput:
     def test_malformed_file(self, capsys, tmp_path):
@@ -429,6 +437,18 @@ class TestJsonDocument:
             code, out, err = run(capsys, *argv, "--json")
             assert code == 1
             assert self.one_document(out) == {"error": kind, "message": err.strip()}
+
+    def test_sample_above_brute_force_cap_is_size_limit(self, capsys):
+        # a reduced tame sample of 9 elements is past the minimal-width
+        # brute force's 8; no --budget was given, so this is not exit 2
+        argv = ["verify", "--n", "9", "--samples", "3", "--seed", "1", "--json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert self.one_document(out) == {
+            "error": "size-limit-exceeded",
+            "message": "minimal rank brute force capped at 8 elements",
+        }
+        assert err.strip() == "minimal rank brute force capped at 8 elements"
 
     def test_exit_2_budget(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "4", "--budget", "0", "--json")

@@ -11,6 +11,7 @@ from tameorders import (
     down_set,
     embeds_r22,
     find_embedding,
+    is_isomorphic,
     pattern_r22,
     pattern_s_n2,
     r_lambda,
@@ -125,6 +126,25 @@ class TestFindEmbedding:
         outer = find_embedding(q, q)
         composed = {x: outer.mapping[y] for x, y in inner.mapping.items()}
         assert verify_embedding(Embedding(p, q, composed))
+
+
+class TestIsIsomorphic:
+    def test_against_permutation_oracle_on_four_points(self):
+        # all 219 * 219 ordered pairs; the oracle runs where the relation
+        # counts agree, the only pairs that reach the search
+        family = list(all_labeled_posets(4))
+        consulted = 0
+        for p in family:
+            for q in family:
+                expected = False
+                if p.num_relations == q.num_relations:
+                    consulted += 1
+                    expected = (
+                        len(p) == len(q) and oracle_least_embedding(p, q) is not None
+                    )
+                assert is_isomorphic(p, q) == expected, (p.pairs(), q.pairs())
+        assert len(family) ** 2 == 47961
+        assert consulted == 9365
 
 
 class TestVerifyEmbedding:

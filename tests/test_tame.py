@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 
 from tameorders import (
-    BudgetExceeded,
     InternalInvariantViolation,
     M_value,
     NotReduced,
     NotTame,
+    SizeLimitExceeded,
     all_labeled_posets,
     build_poset,
     canonical_embedding,
@@ -320,7 +320,7 @@ class TestMinimalRank:
         assert minimal_rank_bruteforce(build_poset([], [])) == 0
 
     def test_size_cap(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(SizeLimitExceeded):
             minimal_rank_bruteforce(chain(9))
 
     def test_not_reduced(self):
