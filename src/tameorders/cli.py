@@ -138,9 +138,11 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed is not None and args.samples is None:
+        args.parser.error("argument --seed: requires --samples")
     if args.samples is not None:
         report = enumeration.verify_sampled(
-            args.n, args.samples, args.seed, budget=args.budget
+            args.n, args.samples, args.seed or 0, budget=args.budget
         )
     else:
         report = enumeration.verify_proposition(
@@ -244,8 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="force exhaustive mode (allows the slow n=6 sweep)",
     )
     mode.add_argument("--samples", type=int, default=None, metavar="K")
-    p_verify.add_argument("--seed", type=int, default=0, metavar="S")
-    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.add_argument(
+        "--seed", type=int, default=None, metavar="S",
+        help="sampler seed (default 0); requires --samples",
+    )
+    p_verify.set_defaults(run=_cmd_verify, parser=p_verify)
 
     p_gen = sub.add_parser("gen", parents=[common], help="write a poset to stdout")
     which = p_gen.add_mutually_exclusive_group(required=True)

@@ -7,7 +7,8 @@ pi(x) < pi(y), so both comparability and incomparability are preserved.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -88,6 +89,21 @@ def _at_least(masks: tuple[int, ...], n: int) -> list[int]:
     return by_count
 
 
+@lru_cache(maxsize=64)
+def _target_tables(target: Poset) -> tuple[Sequence[int], ...]:
+    """The target side of ``_search``, built once per distinct target.
+
+    The sweeps search the same few templates thousands of times, so the
+    tables are cached; equal posets share them, since they depend on the
+    masks alone.
+    """
+    n = len(target)
+    up, down = target.up_masks, target.down_masks
+    full = (1 << n) - 1
+    apart = tuple(full & ~(up[t] | down[t] | 1 << t) for t in range(n))
+    return up, down, apart, _at_least(up, n), _at_least(down, n)
+
+
 def _search(
     pattern: Poset,
     order: list[int],
@@ -96,15 +112,15 @@ def _search(
 ) -> list[int] | None:
     """Forward-checking search for a two-way embedding, assigning ``order`` in turn.
 
-    ``tables`` holds the target side, built once per ``find_embedding``
-    call: the up, down and incomparable masks per target index, then the
-    ``_at_least`` tables of the up and down masks.  Every pattern element
-    keeps a domain: the bitmask of target indices still consistent with
-    every assignment made so far.  It starts as the targets with at least
-    as many elements below and above.  Placing s at t intersects each later
-    domain with t's up mask, down mask or incomparable mask, as the later
-    element lies above, below or apart from s; none of them holds t, so the
-    map stays injective.  A choice that empties some domain is dropped at
+    ``tables`` holds the target side (see ``_target_tables``): the up, down
+    and incomparable masks per target index, then the ``_at_least`` tables
+    of the up and down masks.  Every pattern element keeps a domain: the
+    bitmask of target indices still consistent with every assignment made
+    so far.  It starts as the targets with at least as many elements below
+    and above.  Placing s at t intersects each later domain with t's up
+    mask, down mask or incomparable mask, as the later element lies above,
+    below or apart from s; none of them holds t, so the map stays
+    injective.  A choice that empties some domain is dropped at
     once.  Each candidate taken from a domain is one node of ``budget``.
 
     Returns the image index per pattern element, or None.  Candidates are
@@ -174,10 +190,7 @@ def find_embedding(
     k, n = len(pattern), len(target)
     if k > n:
         return None
-    up, down = target.up_masks, target.down_masks
-    full = (1 << n) - 1
-    apart = [full & ~(up[t] | down[t] | 1 << t) for t in range(n)]
-    tables = (up, down, apart, _at_least(up, n), _at_least(down, n))
+    tables = _target_tables(target)
     degree = [
         pattern.down_masks[i].bit_count() + pattern.up_masks[i].bit_count()
         for i in range(k)
@@ -191,10 +204,9 @@ def find_embedding(
     mapping = {
         pattern.elements[i]: target.elements[image[i]] for i in range(k)
     }
-    emb = Embedding(pattern, target, mapping)
-    if not verify_embedding(emb):
+    if not verify_embedding(Embedding(pattern, target, mapping)):
         raise InternalInvariantViolation("search produced a non-embedding")
-    return replace(emb, verified=True)
+    return Embedding(pattern, target, mapping, verified=True)
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
@@ -275,7 +287,7 @@ def witness_embedding(p: Poset, witness: tuple[Label, Label, Label, Label]) -> E
     """Wrap an embeds_r22 witness as a verified embedding of the pattern."""
     pat = pattern_r22()
     x, x2, y, y2 = witness
-    emb = Embedding(pat, p, {"x0": x, "x1": x2, "y0": y, "y1": y2})
-    if not verify_embedding(emb):
+    mapping = {"x0": x, "x1": x2, "y0": y, "y1": y2}
+    if not verify_embedding(Embedding(pat, p, mapping)):
         raise InternalInvariantViolation("witness quadruple is not a pattern copy")
-    return replace(emb, verified=True)
+    return Embedding(pat, p, mapping, verified=True)

@@ -54,21 +54,24 @@ def all_labeled_posets(n: int) -> Iterator[Poset]:
     if n > ENUMERATION_CAP:
         raise SizeLimitExceeded(f"exhaustive enumeration capped at {ENUMERATION_CAP}")
     labels = tuple(str(i) for i in range(n))
+    index = {x: i for i, x in enumerate(labels)}
 
-    def grow(masks: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
+    def grow(
+        ups: tuple[int, ...], downs: tuple[int, ...], m: int
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if m == n:
-            yield masks
+            yield ups, downs
             return
         new_bit = 1 << m
         for down in range(1 << m):
             ok = True
             allowed = (1 << m) - 1
             for x in range(m):
-                if masks[x] & down and not down >> x & 1:
+                if ups[x] & down and not down >> x & 1:
                     ok = False  # down-set not downward closed
                     break
                 if down >> x & 1:
-                    allowed &= masks[x]
+                    allowed &= ups[x]
             if not ok:
                 continue
             for up in range(1 << m):
@@ -76,18 +79,21 @@ def all_labeled_posets(n: int) -> Iterator[Poset]:
                     continue
                 closed = True
                 for x in range(m):
-                    if up >> x & 1 and masks[x] & ~up:
+                    if up >> x & 1 and ups[x] & ~up:
                         closed = False  # up-set not upward closed
                         break
                 if not closed:
                     continue
-                grown = tuple(
-                    masks[x] | (new_bit if down >> x & 1 else 0) for x in range(m)
+                grown_ups = tuple(
+                    ups[x] | (new_bit if down >> x & 1 else 0) for x in range(m)
                 ) + (up,)
-                yield from grow(grown, m + 1)
+                grown_downs = tuple(
+                    downs[x] | (new_bit if up >> x & 1 else 0) for x in range(m)
+                ) + (down,)
+                yield from grow(grown_ups, grown_downs, m + 1)
 
-    for masks in grow((), 0):
-        yield Poset(labels, masks)
+    for ups, downs in grow((), (), 0):
+        yield Poset._trusted(labels, ups, downs, index)
 
 
 def random_poset(cfg: GeneratorConfig) -> Poset:

@@ -177,33 +177,44 @@ class Poset:
         """Recheck the masks and the order axioms; raise on failure.
 
         The down masks must be exactly the transpose of the up masks, and the
-        relation irreflexive, antisymmetric and transitive.
+        relation irreflexive, antisymmetric and transitive.  Transitivity is
+        checked once per distinct up mask u: the up masks of u's members
+        must all lie inside u.  Errors name the least failing index.
         """
         n = len(self)
-        if len(self.up_masks) != n or len(self.down_masks) != n:
+        up, down = self.up_masks, self.down_masks
+        if len(up) != n or len(down) != n:
             raise ValueError("one up mask and one down mask per element required")
-        transpose = _transpose(self.up_masks)
-        for x, have, want in zip(self.elements, self.down_masks, transpose):
+        transpose = _transpose(up)
+        for x, have, want in zip(self.elements, down, transpose):
             if have != want:
                 raise ValueError(
                     f"down mask of {x!r} is not the transpose of the up masks"
                 )
         for i in range(n):
-            mask = self.up_masks[i]
+            mask = up[i]
             if mask >> i & 1:
                 raise CycleDetected(f"{self.elements[i]!r} below itself")
-            if mask & self.down_masks[i]:
-                j = next(iter_bits(mask & self.down_masks[i]))
+            if mask & down[i]:
+                j = next(iter_bits(mask & down[i]))
                 raise CycleDetected(
                     f"{self.elements[i]!r} and {self.elements[j]!r} below each other"
                 )
-            for j in iter_bits(mask):
-                if self.up_masks[j] & ~mask:
-                    k = next(iter_bits(self.up_masks[j] & ~mask))
-                    raise ValueError(
-                        f"relation not transitive at "
-                        f"{self.elements[i]!r} < {self.elements[j]!r} < {self.elements[k]!r}"
-                    )
+        checked: set[int] = set()
+        for i, mask in enumerate(up):
+            if mask in checked:
+                continue
+            checked.add(mask)
+            reach = 0
+            for row in at_set_bits(up, mask):
+                reach |= row
+            if reach & ~mask:
+                j = next(j for j in iter_bits(mask) if up[j] & ~mask)
+                k = next(iter_bits(up[j] & ~mask))
+                raise ValueError(
+                    f"relation not transitive at "
+                    f"{self.elements[i]!r} < {self.elements[j]!r} < {self.elements[k]!r}"
+                )
 
 
 def build_poset(

@@ -59,9 +59,10 @@ class ReductionResult:
 def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
     """Collapse elements with equal (down-set, up-set) signatures.
 
-    The quotient is the suborder induced on the representatives; equal
-    signatures make this independent of the choice, which ``check=True``
-    rechecks across every cross pair.
+    The quotient is the suborder induced on the representatives, and ``p``
+    itself when every class is a singleton; equal signatures make this
+    independent of the choice, which ``check=True`` rechecks across every
+    cross pair.
     """
     class_of: dict[Label, int] = {}
     reps: list[Label] = []
@@ -71,7 +72,7 @@ def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
             by_sig[sig] = len(reps)
             reps.append(x)
         class_of[x] = by_sig[sig]
-    quotient = restrict(p, reps)
+    quotient = p if len(reps) == len(p) else restrict(p, reps)
     result = ReductionResult(quotient, class_of, tuple(reps))
     if check:
         for ix, x in enumerate(p.elements):

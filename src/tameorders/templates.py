@@ -72,24 +72,33 @@ def r_lambda(lam: int) -> Poset:
     """The template order of width ``lam``: lam*(lam+1)/2 coordinate pairs.
 
     Elements are labeled "a,b" and listed lexicographically; the relation
-    (a, b) < (a2, b2) iff b < a2 is already transitively closed.  There is
-    no width limit.  Of the tame pipeline only ``canonical_embedding`` builds
-    one, of width r = tame rank <= number of elements.
+    (a, b) < (a2, b2) iff b < a2 is already transitively closed.  The down
+    mask of (a, b) holds the elements with b2 < a, so none is transposed.
+    There is no width limit.  Of the tame pipeline only
+    ``canonical_embedding`` builds one, of width r = tame rank <= number of
+    elements.
     """
     if lam < 0:
         raise InvalidParameter("template width must be nonnegative")
-    labels = []
-    betas = []
-    for a in range(lam):
-        for b in range(a, lam):
-            labels.append(order_pair_label(a, b))
-            betas.append(b)
-    n = len(labels)
+    pairs = [(a, b) for a in range(lam) for b in range(a, lam)]
+    n = len(pairs)
     # elements with alpha >= v form a contiguous index suffix
     offset = [v * lam - v * (v - 1) // 2 for v in range(lam + 1)]
     suffix = [((1 << (n - offset[v])) - 1) << offset[v] for v in range(lam + 1)]
-    masks = [suffix[b + 1] for b in betas]
-    return Poset(labels, masks)
+    # below[v]: the elements with beta < v, a running OR over v
+    with_beta = [0] * lam
+    for i, (_, b) in enumerate(pairs):
+        with_beta[b] |= 1 << i
+    below = [0] * (lam + 1)
+    for v in range(lam):
+        below[v + 1] = below[v] | with_beta[v]
+    elements = tuple(order_pair_label(a, b) for a, b in pairs)
+    return Poset._trusted(
+        elements,
+        tuple(suffix[b + 1] for _, b in pairs),
+        tuple(below[a] for a, _ in pairs),
+        {x: i for i, x in enumerate(elements)},
+    )
 
 
 def inflate(

@@ -242,6 +242,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("usage:") and "not allowed with" in err
 
+    def test_seed_requires_samples(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "3", "--seed", "7", "--json"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage:") and "--seed: requires --samples" in err
+
+    def test_samples_without_seed_use_seed_zero(self, capsys):
+        _, default, _ = run(capsys, "verify", "--n", "5", "--samples", "4", "--json")
+        _, zero, _ = run(capsys, "verify", "--n", "5", "--samples", "4", "--seed", "0", "--json")
+        assert default == zero and json.loads(default)["total"] == 4
+
 
 class TestBadInput:
     def test_malformed_file(self, capsys, tmp_path):

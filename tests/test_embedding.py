@@ -5,6 +5,7 @@ from tameorders import (
     BudgetExceeded,
     Embedding,
     InvalidParameter,
+    Poset,
     UnknownElement,
     all_labeled_posets,
     build_poset,
@@ -19,6 +20,8 @@ from tameorders import (
     well_founded_rank,
     witness_embedding,
 )
+
+from tameorders.embedding import _target_tables
 
 from conftest import antichain, chain, oracle_least_embedding, oracle_quartet_r22, posets
 
@@ -126,6 +129,35 @@ class TestFindEmbedding:
         outer = find_embedding(q, q)
         composed = {x: outer.mapping[y] for x, y in inner.mapping.items()}
         assert verify_embedding(Embedding(p, q, composed))
+
+
+class TestTargetTablesCache:
+    """The cached target tables change no answer, cold or warm."""
+
+    @staticmethod
+    def mappings(targets):
+        out = []
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                for target in targets:
+                    emb = find_embedding(p, target)
+                    out.append(None if emb is None else emb.mapping)
+        return out
+
+    def test_cold_and_warm_agree(self):
+        templates = [r_lambda(lam) for lam in range(5)]
+        _target_tables.cache_clear()
+        cold = self.mappings(templates)
+        assert _target_tables.cache_info().misses <= len(templates)
+        warm = self.mappings(templates)
+        r_lambda.cache_clear()
+        rebuilt = self.mappings([r_lambda(lam) for lam in range(5)])
+        copies = [Poset(t.elements, t.up_masks) for t in templates]
+        assert all(c == t and c is not t for c, t in zip(copies, templates))
+        _target_tables.cache_clear()
+        cold_copies = self.mappings(copies)
+        assert cold == warm == rebuilt == cold_copies
+        assert sum(m is not None for m in cold) > 0
 
 
 class TestIsIsomorphic:

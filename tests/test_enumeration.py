@@ -13,6 +13,8 @@ from tameorders import (
     verify_sampled,
 )
 
+from tameorders.embedding import _target_tables
+
 from conftest import antichain, chain, oracle_posets_by_filter
 
 
@@ -46,6 +48,11 @@ class TestAllLabeledPosets:
         for p in all_labeled_posets(4):
             p.validate()
             assert p.elements == ("0", "1", "2", "3")
+
+    def test_every_five_point_poset_validates(self):
+        # the down masks are grown alongside the up masks, not transposed
+        for p in all_labeled_posets(5):
+            p.validate()
 
     def test_closed_under_relabeling(self):
         family = {p.up_masks for p in all_labeled_posets(3)}
@@ -109,6 +116,14 @@ class TestVerifyProposition:
         assert report.total == 219
         assert report.tame_count == 207
         assert report.ok
+
+    def test_target_tables_built_once_per_template(self):
+        # every search into one template reuses its tables: at most one miss
+        # per distinct template width 0..4
+        _target_tables.cache_clear()
+        verify_proposition(4)
+        info = _target_tables.cache_info()
+        assert 0 < info.misses <= 5 and info.hits > 100
 
     def test_size_cap_default(self):
         with pytest.raises(SizeLimitExceeded):

@@ -268,6 +268,19 @@ class TestValidate:
             with pytest.raises(ValueError):
                 forged.validate()
 
+    def test_non_transitive_wider_than_a_word(self):
+        n = 70
+        labels = [f"e{i}" for i in range(n)]
+        # a chain missing e0 < e69: dense rows, read through their bit strings
+        chain_up = [((1 << n) - 1) & ~((2 << i) - 1) for i in range(n)]
+        chain_up[0] &= ~(1 << 69)
+        # e0 < e1 < e2 only: sparse rows, read bit by bit
+        sparse_up = [0b10, 0b100] + [0] * (n - 2)
+        for up, message in [(chain_up, "'e0' < 'e1' < 'e69'"), (sparse_up, "'e0' < 'e1' < 'e2'")]:
+            p = Poset(labels, up)
+            with pytest.raises(ValueError, match=f"not transitive at {message}"):
+                p.validate()
+
 
 def oracle_masks(labels, above, below):
     """Up and down masks, one bit per related pair, over ``labels`` in order.

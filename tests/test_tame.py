@@ -132,6 +132,14 @@ class TestReduce:
         assert result.representatives == ("a0",)
         assert result.members(0) == ["a0", "a1", "a2"]
 
+    def test_reduced_input_is_its_own_quotient(self):
+        for p in [chain(4), pattern_s_n2(3), pattern_r22(), antichain(1)]:
+            assert is_reduced(p)
+            result = reduce(p, check=True)
+            assert result.quotient is p
+            assert result.class_of == {x: i for i, x in enumerate(p.elements)}
+            assert result.representatives == p.elements
+
     @given(posets())
     @settings(max_examples=60)
     def test_idempotent(self, p):

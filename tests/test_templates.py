@@ -6,6 +6,7 @@ from tameorders import (
     InvalidMultiplicity,
     InvalidParameter,
     NotTame,
+    Poset,
     UnknownElement,
     all_labeled_posets,
     build_poset,
@@ -50,6 +51,13 @@ class TestRLambda:
     def test_negative(self):
         with pytest.raises(InvalidParameter):
             r_lambda(-1)
+
+    def test_down_masks_built_not_transposed(self):
+        for lam in [*range(13), 66]:
+            p = r_lambda(lam)
+            p.validate()
+            rebuilt = Poset(p.elements, p.up_masks)
+            assert p == rebuilt and p.down_masks == rebuilt.down_masks
 
     def test_pair_rule_all_pairs(self):
         for lam in range(7):
