@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 parse/IO/usage errors, 2 search budget exceeded,
 3 property-negative verdicts (not tame, not reduced, counterexamples found),
 4 internal invariant violations.  With --json the standard output is a
 single JSON document on one line, on every exit except an argparse usage
-error; diagnostics go to stderr.
+error or -h/--help; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -191,81 +191,84 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit one JSON document on stdout"
-    )
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        metavar="NODES",
-        help="cap embedding-search nodes (exceeding exits 2)",
-    )
-    parser = _Parser(
-        prog="tameorders",
-        description="Analyze tame finite partial orders.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _file_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
 
-    p_check = sub.add_parser("check", parents=[common], help="tameness verdict")
-    p_check.add_argument("file")
-    p_check.set_defaults(run=_cmd_check)
 
-    p_rank = sub.add_parser("rank", parents=[common], help="tame rank")
-    p_rank.add_argument("file")
-    p_rank.set_defaults(run=_cmd_rank)
-
-    p_embed = sub.add_parser(
-        "embed", parents=[common], help="canonical coordinate embedding"
-    )
-    p_embed.add_argument("file")
-    p_embed.set_defaults(run=_cmd_embed)
-
-    p_reduce = sub.add_parser(
-        "reduce", parents=[common], help="signature quotient and class map"
-    )
-    p_reduce.add_argument("file")
-    p_reduce.set_defaults(run=_cmd_reduce)
-
-    p_realize = sub.add_parser(
-        "realize", parents=[common], help="restriction of an inflated template"
-    )
-    p_realize.add_argument("file")
-    p_realize.set_defaults(run=_cmd_realize)
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="oracle sweep over small posets"
-    )
-    p_verify.add_argument("--n", type=int, required=True)
-    mode = p_verify.add_mutually_exclusive_group()
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    mode = p.add_mutually_exclusive_group()
     mode.add_argument(
         "--exhaustive",
         action="store_true",
         help="force exhaustive mode (allows the slow n=6 sweep)",
     )
     mode.add_argument("--samples", type=int, default=None, metavar="K")
-    p_verify.add_argument(
+    p.add_argument(
         "--seed", type=int, default=None, metavar="S",
         help="sampler seed (default 0); requires --samples",
     )
-    p_verify.set_defaults(run=_cmd_verify, parser=p_verify)
+    p.set_defaults(parser=p)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="write a poset to stdout")
-    which = p_gen.add_mutually_exclusive_group(required=True)
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
+    which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--r-lambda", type=int, metavar="L")
     which.add_argument("--s-n2", type=int, metavar="N")
     which.add_argument("--r22", action="store_true")
     which.add_argument("--cummings", type=int, metavar="O")
     which.add_argument("--random", nargs=3, metavar=("N", "P", "SEED"))
-    p_gen.set_defaults(run=_cmd_gen)
+
+
+# verb -> (help, handler, adder of the verb's own arguments), in usage order
+_VERBS = {
+    "check": ("tameness verdict", _cmd_check, _file_args),
+    "rank": ("tame rank", _cmd_rank, _file_args),
+    "embed": ("canonical coordinate embedding", _cmd_embed, _file_args),
+    "reduce": ("signature quotient and class map", _cmd_reduce, _file_args),
+    "realize": ("restriction of an inflated template", _cmd_realize, _file_args),
+    "verify": ("oracle sweep over small posets", _cmd_verify, _verify_args),
+    "gen": ("write a poset to stdout", _cmd_gen, _gen_args),
+}
+
+
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``verb``'s subparser when it names one, else all."""
+    parser = _Parser(
+        prog="tameorders",
+        description="Analyze tame finite partial orders.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = _VERBS
+    if verb in _VERBS:
+        # trailing extras print the top-level usage, which lists every verb;
+        # the full parser keeps argparse's metavar for "required: verb"
+        sub.metavar = "{" + ",".join(_VERBS) + "}"
+        verbs = {verb: _VERBS[verb]}
+    for name, (help_text, run, add_args) in verbs.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--json", action="store_true", help="emit one JSON document on stdout"
+        )
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=None,
+            metavar="NODES",
+            help="cap embedding-search nodes (exceeding exits 2)",
+        )
+        add_args(p)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        if args.budget is not None and args.budget < 0:
+            raise InvalidParameter(f"node budget must be nonnegative, got {args.budget}")
         return args.run(args)
     except NotTame as exc:
         witness = [str(x) for x in exc.witness]

@@ -160,9 +160,8 @@ class Poset:
     def pairs(self) -> list[tuple[Label, Label]]:
         """All related pairs (x, y) with x < y, sorted by element index."""
         out = []
-        for i, mask in enumerate(self.up_masks):
-            x = self.elements[i]
-            out.extend((x, self.elements[j]) for j in iter_bits(mask))
+        for x, mask in zip(self.elements, self.up_masks):
+            out.extend((x, y) for y in at_set_bits(self.elements, mask))
         return out
 
     @property
@@ -171,7 +170,7 @@ class Poset:
 
     def label_set(self, mask: int) -> frozenset[Label]:
         """Labels of the elements whose index bits are set in ``mask``."""
-        return frozenset(self.elements[i] for i in iter_bits(mask))
+        return frozenset(at_set_bits(self.elements, mask))
 
     def validate(self) -> None:
         """Recheck the masks and the order axioms; raise on failure.

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .embedding import Embedding
 from .errors import FormatError, InvalidMultiplicity, InvalidParameter
-from .poset import Label, Poset, iter_bits
+from .poset import Label, Poset, _index_of, at_set_bits
 
 
 class OrderPair(NamedTuple):
@@ -108,8 +108,10 @@ def inflate(
 
     Element x with multiplicity k becomes copies "x#0" .. "x#k-1"; copies
     relate exactly as their base elements do.  Elements missing from
-    ``multiplicity`` default to one copy.  Returns the inflated poset and
-    the projection from copies back to base elements.
+    ``multiplicity`` default to one copy.  A copy's up and down masks are
+    the block expansions of its base element's, so none is transposed.
+    Returns the inflated poset and the projection from copies back to base
+    elements.
     """
     mult = {}
     for x, k in multiplicity.items():
@@ -126,20 +128,28 @@ def inflate(
     block = [((1 << k) - 1) << off for k, off in zip(counts, offsets)]
     labels: list[str] = []
     projection: dict[Label, Label] = {}
-    masks: list[int] = []
+    ups: list[int] = []
+    downs: list[int] = []
     expanded_of: dict[int, int] = {}
-    for i, x in enumerate(base.elements):
-        row = base.up_masks[i]
-        if row not in expanded_of:
+
+    def expand(row: int) -> int:
+        out = expanded_of.get(row)
+        if out is None:
             # the blocks are disjoint, so their sum is their union
-            expanded_of[row] = sum(block[j] for j in iter_bits(row))
-        expanded = expanded_of[row]
-        for copy in range(counts[i]):
+            out = expanded_of[row] = sum(at_set_bits(block, row))
+        return out
+
+    for x, up, down, k in zip(base.elements, base.up_masks, base.down_masks, counts):
+        up, down = expand(up), expand(down)
+        for copy in range(k):
             label = InflatedPoint(str(x), copy).label
             labels.append(label)
             projection[label] = x
-            masks.append(expanded)
-    return Poset(labels, masks), projection
+            ups.append(up)
+            downs.append(down)
+    elements = tuple(labels)
+    inflated = Poset._trusted(elements, tuple(ups), tuple(downs), _index_of(elements))
+    return inflated, projection
 
 
 def cummings_blocks(o: int) -> Poset:
@@ -155,16 +165,17 @@ def cummings_blocks(o: int) -> Poset:
     for a in range(o):
         items.extend((a, b) for b in range(a + 1, o))
         items.append((a, None))
-    labels = [f"{a},{'inf' if b is None else b}" for a, b in items]
-    masks = []
-    for a, b in items:
-        mask = 0
+    elements = tuple(f"{a},{'inf' if b is None else b}" for a, b in items)
+    ups = [0] * len(items)
+    downs = [0] * len(items)
+    for i, (_a, b) in enumerate(items):
         if b is not None:
             for j, (a2, _b2) in enumerate(items):
                 if b <= a2:
-                    mask |= 1 << j
-        masks.append(mask)
-    return Poset(labels, masks)
+                    ups[i] |= 1 << j
+                    downs[j] |= 1 << i
+    index = {x: i for i, x in enumerate(elements)}
+    return Poset._trusted(elements, tuple(ups), tuple(downs), index)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import tameorders
 from tameorders import (
+    cli,
     format_poset,
     parse_order_pair,
     parse_poset,
@@ -605,3 +609,121 @@ def test_every_file_verb_prints_one_document(case):
                 assert document["tame"] is (code == 0)
             elif code == 3:
                 assert document["error"] == expected[verb][1]
+
+
+VERBS = ("check", "rank", "embed", "reduce", "realize", "verify", "gen")
+
+# "FILE" stands for a tame input, "R22" for a non-tame one
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["chk", "FILE"], ["--json", "check", "FILE"],
+    ["--", "check", "FILE"],
+    *(
+        argv
+        for verb in FILE_VERBS
+        for argv in (
+            [verb], [verb, "-h"], [verb, "--json", "-h"], [verb, "FILE"],
+            [verb, "--json", "FILE"], [verb, "R22", "--json"], [verb, "FILE", "extra"],
+            [verb, "--bogus", "FILE"], [verb, "--budget", "x", "FILE"],
+            [verb, "--budget", "0", "FILE"], [verb, "--json"],
+        )
+    ),
+    ["verify"], ["verify", "-h"], ["verify", "--n", "3", "--json"],
+    ["verify", "--n", "3", "extra"], ["verify", "--n", "3", "--bogus"],
+    ["verify", "--n", "x"], ["verify", "--n", "3", "--seed", "7"],
+    ["verify", "--n", "3", "--exhaustive", "--samples", "2"],
+    ["verify", "--n", "4", "--samples", "3", "--seed", "2"],
+    ["verify", "--n", "4", "--budget", "1", "--json"],
+    ["gen"], ["gen", "-h"], ["gen", "--r22"], ["gen", "--r22", "--json"],
+    ["gen", "--r22", "extra"], ["gen", "--s-n2", "2", "--bogus"],
+    ["gen", "--r22", "--cummings", "2"], ["gen", "--random", "5", "a", "1"],
+    ["gen", "--random", "5", "0.3", "1", "--budget", "0"],
+]
+
+
+def outcome(argv):
+    """Exit code (or the SystemExit code, tagged), stdout and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    files = {"FILE": root / "s2.poset", "R22": root / "r22.poset"}
+    files["FILE"].write_text(format_poset(pattern_s_n2(2)))
+    files["R22"].write_text(format_poset(tameorders.pattern_r22()))
+    return {name: str(path) for name, path in files.items()}
+
+
+class TestParserPerVerb:
+    """main builds only the invoked verb's subparser, with the same behaviour."""
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_same_as_full_parser(self, argv, corpus_files, monkeypatch):
+        argv = [corpus_files.get(arg, arg) for arg in argv]
+        got = outcome(argv)
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full())
+        assert got == outcome(argv)
+
+    def test_corpus_covers_every_verb(self):
+        for verb in VERBS:
+            cases = [argv[1:] for argv in PARSER_CORPUS if argv[:1] == [verb]]
+            assert ["-h"] in cases and [] in cases
+            assert any("--bogus" in case for case in cases)
+            assert any("extra" in case for case in cases)
+
+    def test_one_subparser_per_verb(self):
+        def choices(parser):
+            (sub,) = [
+                action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            ]
+            return list(sub.choices)
+
+        for verb in VERBS:
+            assert choices(cli._build_parser(verb)) == [verb]
+        assert choices(cli._build_parser()) == list(VERBS)
+        assert choices(cli._build_parser("bogus")) == list(VERBS)
+
+    def test_negative_budget_rejected_by_every_verb(self, corpus_files):
+        message = "node budget must be nonnegative, got -1"
+        for verb, rest in {
+            **{verb: [corpus_files["FILE"]] for verb in FILE_VERBS},
+            "verify": ["--n", "3"],
+            "gen": ["--r22"],
+        }.items():
+            code, out, err = outcome([verb, *rest, "--budget", "-1", "--json"])
+            assert code == 1, verb
+            assert json.loads(out) == {"error": "invalid-parameter", "message": message}
+            assert err == message + "\n"
+            assert outcome([verb, *rest, "--budget", "-1"]) == (1, "", message + "\n")
+            if verb != "verify":
+                assert outcome([verb, *rest, "--budget", "0"])[0] == 0, verb
+
+
+def test_module_entry_point_reads_sys_argv(corpus_files):
+    src = str(Path(tameorders.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "tameorders", *argv],
+            capture_output=True, check=False, env=env, text=True,
+        )
+
+    argv = ["check", "--json", corpus_files["FILE"]]
+    child = run_module(*argv)
+    assert (child.returncode, child.stdout, child.stderr) == outcome(argv)
+    child = run_module()
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.startswith("usage: tameorders")
+    assert child.stderr.endswith("error: the following arguments are required: verb\n")
+    child = run_module("-h")
+    assert child.returncode == 0 and child.stdout.startswith("usage: tameorders")

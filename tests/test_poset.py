@@ -409,3 +409,17 @@ class TestMaskKernels:
             assert lines[1:] == [f"rel: {x} {y}" for x, y in want]
             dense.update(_dense(row, len(labels)) for row in p.up_masks)
         assert dense == {False, True}
+
+    def test_pairs_and_label_sets(self, kernel_cases):
+        """pairs and label_set read each row on both kernels, as the oracle sets say."""
+        dense = set()
+        for labels, pairs, above, below in kernel_cases.values():
+            index = {x: i for i, x in enumerate(labels)}
+            p = build_poset(labels, pairs)
+            want = [(x, y) for x in labels for y in sorted(above[x], key=index.get)]
+            assert p.pairs() == want
+            for x, up, down in zip(labels, p.up_masks, p.down_masks):
+                assert p.label_set(up) == above[x]
+                assert p.label_set(down) == below[x]
+            dense.update(_dense(row, len(labels)) for row in p.up_masks)
+        assert dense == {False, True}

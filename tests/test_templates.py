@@ -158,6 +158,14 @@ class TestInflate:
                 inflated, _ = inflate(p, mult)
                 assert (embeds_r22(p) is None) == (embeds_r22(inflated) is None)
 
+    def test_down_masks_built_not_transposed(self):
+        base = r_lambda(6)
+        mult = {x: 1 + (i * 7) % 4 for i, x in enumerate(base.elements) if i % 3}
+        for p in (inflate(base, mult)[0], inflate(base, {})[0]):
+            p.validate()
+            rebuilt = Poset(p.elements, p.up_masks)
+            assert p == rebuilt and p.down_masks == rebuilt.down_masks
+
     @given(posets(max_size=5))
     @settings(max_examples=40)
     def test_projection_reflects_relations(self, p):
@@ -189,6 +197,13 @@ class TestCummingsBlocks:
     def test_tame_small(self):
         for o in range(1, 6):
             assert is_tame(cummings_blocks(o)).tame
+
+    def test_down_masks_built_not_transposed(self):
+        for o in range(1, 9):
+            p = cummings_blocks(o)
+            p.validate()
+            rebuilt = Poset(p.elements, p.up_masks)
+            assert p == rebuilt and p.down_masks == rebuilt.down_masks
 
     def test_rule_evaluation(self):
         p = cummings_blocks(4)
