@@ -12,16 +12,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .embedding import Embedding, embeds_r22, find_embedding
-from .errors import (
-    InternalInvariantViolation,
-    NotReduced,
-    NotTame,
-    SizeLimitExceeded,
-)
+from .errors import InternalInvariantViolation, NotReduced, NotTame
 from .poset import Label, Poset, is_chain, restrict
 from .templates import order_pair_label, r_lambda
-
-_BRUTEFORCE_SIZE_LIMIT = 8
 
 
 def u_comparable(p: Poset) -> bool:
@@ -224,16 +217,14 @@ def canonical_embedding(p: Poset) -> Embedding:
 def minimal_rank_bruteforce(p: Poset, *, budget: int | None = None) -> int:
     """Least lam such that p embeds into the lam template, by ascending search.
 
-    Restricted to reduced tame posets of at most ``_BRUTEFORCE_SIZE_LIMIT``
-    elements (SizeLimitExceeded above that; the searches grow steeply).
+    The definition-level oracle for the tame rank of a reduced tame poset:
+    it tries every width 0, 1, ... in turn.  There is no size limit; the
+    searches grow steeply with long chains, and ``budget`` bounds each one
+    (BudgetExceeded when a search overruns it).
     """
     _require_tame(p)
     if not is_reduced(p):
         raise NotReduced("minimal rank search wants a reduced poset")
-    if len(p) > _BRUTEFORCE_SIZE_LIMIT:
-        raise SizeLimitExceeded(
-            f"minimal rank brute force capped at {_BRUTEFORCE_SIZE_LIMIT} elements"
-        )
     for lam in range(len(p) + 1):
         if find_embedding(p, r_lambda(lam), budget=budget) is not None:
             return lam

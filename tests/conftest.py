@@ -179,6 +179,35 @@ def corrupt_coordinates(monkeypatch):
     monkeypatch.setattr(tame, "_coordinates", shifted)
 
 
+@pytest.fixture
+def corrupt_rank(monkeypatch):
+    """Raise the tame rank by one wherever the library computes it, on nonempty input.
+
+    The canonical coordinates still fit the wider template and every rank
+    moves together, so of the sweep's checks only the minimality refutation
+    can see it: a reduced tame poset embeds into the template one narrower
+    than the raised rank.
+    """
+    real = tame._rank
+    monkeypatch.setattr(tame, "_rank", lambda p: real(p) + 1 if len(p) else 0)
+
+
+def oracle_zero_one_fishburn(n: int) -> int:
+    """Upper-triangular 0/1 matrices with n ones and no zero row or column.
+
+    Summed over every matrix size; these are the unlabeled reduced interval
+    orders on n points (entry (a, b) marks the element with coordinates
+    (a, b)), counted without building any poset.
+    """
+    total = 0 if n else 1
+    for k in range(1, n + 1):
+        cells = [(a, b) for a in range(k) for b in range(a, k)]
+        for ones in itertools.combinations(cells, n):
+            if len({a for a, _ in ones}) == k == len({b for _, b in ones}):
+                total += 1
+    return total
+
+
 def oracle_posets_by_filter(n: int) -> set[tuple[int, ...]]:
     """All transitively closed irreflexive relations on n points, as mask rows."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]

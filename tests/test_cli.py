@@ -105,6 +105,30 @@ class TestCheck:
         assert obj["tame"] and obj["tame_rank"] == 3
         assert obj["embedding"]["y0"] == [2, 2]
 
+    def test_reversed_relations_reflect_the_embedding(self, capsys, tmp_path):
+        # reversing every relation keeps the rank k and maps (m, M) to
+        # (k-1-M, k-1-m)
+        for name, argv in [("s3", ["--s-n2", "3"]), ("r4", ["--r-lambda", "4"])]:
+            path = write_gen(capsys, tmp_path, name, *argv)
+            lines = path.read_text().splitlines()
+            dual = tmp_path / f"{name}.dual"
+            dual.write_text(
+                "\n".join(
+                    "rel: {2} {1}".format(*line.split()) if line.startswith("rel:") else line
+                    for line in lines
+                )
+                + "\n"
+            )
+            _, out, _ = run(capsys, "check", "--json", str(path))
+            code, dual_out, _ = run(capsys, "check", "--json", str(dual))
+            obj, dual_obj = json.loads(out), json.loads(dual_out)
+            assert code == 0
+            k = obj["tame_rank"]
+            assert dual_obj["tame_rank"] == k
+            assert dual_obj["embedding"] == {
+                x: [k - 1 - big, k - 1 - m] for x, (m, big) in obj["embedding"].items()
+            }
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "check", "/nonexistent/x.poset")
         assert code == 1
@@ -455,17 +479,20 @@ class TestJsonDocument:
             assert code == 1
             assert self.one_document(out) == {"error": kind, "message": err.strip()}
 
-    def test_sample_above_brute_force_cap_is_size_limit(self, capsys):
-        # a reduced tame sample of 9 elements is past the minimal-width
-        # brute force's 8; no --budget was given, so this is not exit 2
+    def test_nine_point_samples_are_bounded_by_budget_only(self, capsys):
+        # a reduced tame sample of 9 elements gets its minimality check;
+        # only --budget bounds the searches
         argv = ["verify", "--n", "9", "--samples", "3", "--seed", "1", "--json"]
-        code, out, err = run(capsys, *argv)
-        assert code == 1
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        obj = self.one_document(out)
+        assert (obj["n"], obj["total"], obj["counterexamples"]) == (9, 3, [])
+        code, out, err = run(capsys, *argv, "--budget", "0")
+        assert code == 2
         assert self.one_document(out) == {
-            "error": "size-limit-exceeded",
-            "message": "minimal rank brute force capped at 8 elements",
+            "error": "budget-exceeded",
+            "message": err.strip(),
         }
-        assert err.strip() == "minimal rank brute force capped at 8 elements"
 
     def test_exit_2_budget(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "4", "--budget", "0", "--json")

@@ -7,6 +7,7 @@ from tameorders import (
     InvalidParameter,
     SizeLimitExceeded,
     all_labeled_posets,
+    enumeration,
     is_isomorphic,
     random_poset,
     verify_proposition,
@@ -124,6 +125,26 @@ class TestVerifyProposition:
         verify_proposition(4)
         info = _target_tables.cache_info()
         assert 0 < info.misses <= 5 and info.hits > 100
+
+    def test_one_minimality_refutation_per_reduced_tame_poset(self, monkeypatch):
+        # one search per poset (embed-tame or embed-nontame), plus one
+        # refutation on each of the 120 reduced tame ones
+        real = enumeration.find_embedding
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "find_embedding", counted)
+        assert verify_proposition(4).ok
+        assert len(calls) == 219 + 120
+
+    def test_rank_too_large_fails_minimality(self, corrupt_rank):
+        # every reduced tame 4-point poset embeds one below the raised rank
+        report = verify_proposition(4)
+        assert len(report.counterexamples) == 120
+        assert {c["check"] for c in report.counterexamples} == {"minimality"}
 
     def test_size_cap_default(self):
         with pytest.raises(SizeLimitExceeded):

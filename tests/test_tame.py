@@ -1,12 +1,14 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
 from tameorders import (
+    BudgetExceeded,
     InternalInvariantViolation,
     M_value,
     NotReduced,
     NotTame,
-    SizeLimitExceeded,
     all_labeled_posets,
     build_poset,
     canonical_embedding,
@@ -27,6 +29,7 @@ from tameorders import (
     pattern_s_n2,
     r_lambda,
     reduce,
+    tame,
     tame_rank,
     u_comparable,
     up_set,
@@ -34,7 +37,13 @@ from tameorders import (
     well_founded_rank,
 )
 
-from conftest import antichain, chain, oracle_coordinates, posets
+from conftest import (
+    antichain,
+    chain,
+    oracle_coordinates,
+    oracle_zero_one_fishburn,
+    posets,
+)
 
 
 class TestComparability:
@@ -327,9 +336,11 @@ class TestMinimalRank:
     def test_empty(self):
         assert minimal_rank_bruteforce(build_poset([], [])) == 0
 
-    def test_size_cap(self):
-        with pytest.raises(SizeLimitExceeded):
-            minimal_rank_bruteforce(chain(9))
+    def test_no_size_cap(self):
+        # past the old limit of 8 elements; only the budget bounds a search
+        assert minimal_rank_bruteforce(chain(9)) == 9
+        with pytest.raises(BudgetExceeded):
+            minimal_rank_bruteforce(chain(16), budget=1000)
 
     def test_not_reduced(self):
         with pytest.raises(NotReduced):
@@ -340,6 +351,32 @@ class TestMinimalRank:
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is None and is_reduced(p):
                     assert minimal_rank_bruteforce(p) == tame_rank(p)
+
+
+class TestRigidityAndDuality:
+    def test_reduced_tame_labeled_counts(self):
+        # distinct coordinates leave a reduced tame poset no automorphism, so
+        # the labeled ones number n! times the unlabeled 0/1 Fishburn count;
+        # verify --n runs one minimality refutation on each
+        counts = [
+            sum(1 for p in all_labeled_posets(n) if embeds_r22(p) is None and is_reduced(p))
+            for n in range(6)
+        ]
+        assert counts == [1, 1, 2, 12, 120, 1920]
+        assert counts == [math.factorial(n) * oracle_zero_one_fishburn(n) for n in range(6)]
+
+    def test_reversal_reflects_coordinates(self):
+        for n in range(6):
+            for p in all_labeled_posets(n):
+                if embeds_r22(p) is not None:
+                    continue
+                dual = build_poset(p.elements, [(y, x) for x, y in p.pairs()])
+                k, ms, Ms = tame._canonical_coordinates(p)
+                assert tame._canonical_coordinates(dual) == (
+                    k,
+                    [k - 1 - big for big in Ms],
+                    [k - 1 - m for m in ms],
+                )
 
 
 class TestClaimInequalities:

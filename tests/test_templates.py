@@ -52,6 +52,14 @@ class TestRLambda:
         with pytest.raises(InvalidParameter):
             r_lambda(-1)
 
+    def test_narrower_template_is_a_restriction(self):
+        # R_l is R_{l+1} on the points with b < l, in the same element order;
+        # so a poset that embeds below width r - 1 embeds into R_{r-1}
+        for lam in range(13):
+            wider = r_lambda(lam + 1)
+            kept = [x for x in wider.elements if parse_order_pair(x)[1] < lam]
+            assert restrict(wider, kept) == r_lambda(lam)  # compares element order too
+
     def test_down_masks_built_not_transposed(self):
         for lam in [*range(13), 66]:
             p = r_lambda(lam)
