@@ -269,10 +269,9 @@ def embeds_r22(p: Poset) -> tuple[Label, Label, Label, Label] | None:
         return None
     up = p.up_masks
     n = len(p)
+    # the witness condition is symmetric in (ix, ix2), so the least has ix < ix2
     for ix in range(n):
-        for ix2 in range(n):
-            if ix == ix2:
-                continue
+        for ix2 in range(ix + 1, n):
             only_x = up[ix] & ~up[ix2]
             only_x2 = up[ix2] & ~up[ix]
             if only_x and only_x2:

@@ -7,14 +7,13 @@ which every report in this module takes for granted and documents.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .embedding import Embedding, embeds_r22, find_embedding
 from .errors import InternalInvariantViolation, NotReduced, NotTame
 from .poset import Label, Poset, is_chain, restrict
-from .templates import order_pair_label, r_lambda
+from .templates import _masks_above, order_pair_label, r_lambda
 
 
 def u_comparable(p: Poset) -> bool:
@@ -168,22 +167,15 @@ def _canonical_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
     """Tame rank and the rechecked (m, M) of every element index.
 
     The elements of one class share their coordinates.  The recheck: every
-    0 <= m <= M < rank, and the up-set of x is {y : m(y) > M(x)}, a suffix
-    of the elements sorted by m.  Passing coordinates embed p into a
-    template and so prove it tame; on failure the pattern scan raises
+    0 <= m <= M < rank, and the up-set of x is {y : m(y) > M(x)}, as
+    ``templates._masks_above`` builds it.  Passing coordinates embed p into
+    a template and so prove it tame; on failure the pattern scan raises
     NotTame with the witness, else InternalInvariantViolation.
     """
-    n = len(p)
     rank = _rank(p)
     ms, Ms = _coordinates(p)
-    by_m = sorted(range(n), key=ms.__getitem__)
-    sorted_m = [ms[i] for i in by_m]
-    above = [0] * (n + 1)  # above[k]: elements at positions >= k of by_m
-    for k in range(n - 1, -1, -1):
-        above[k] = above[k + 1] | 1 << by_m[k]
-    if not all(0 <= m <= big < rank for m, big in zip(ms, Ms)) or any(
-        up != above[bisect_right(sorted_m, big)] for up, big in zip(p.up_masks, Ms)
-    ):
+    in_range = all(0 <= m <= big < rank for m, big in zip(ms, Ms))
+    if not in_range or p.up_masks != _masks_above(ms, Ms):
         _require_tame(p)
         raise InternalInvariantViolation("canonical coordinates failed their recheck")
     return rank, ms, Ms

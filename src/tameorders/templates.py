@@ -5,11 +5,13 @@ ordered by (a, b) < (a2, b2) iff b < a2.  Every tame finite order arises,
 up to isomorphism, as a restriction of an inflated template.  The
 coordinates (m(x), M(x)) alone decide that restriction, so ``realize``
 builds no template; ``RealizeResult.inflated`` builds one on demand.
+Every order read off coordinates, x < y iff M(x) < m(y), takes its masks
+from ``_masks_above``, and so does the canonical-coordinate recheck.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -67,38 +69,41 @@ def parse_order_pair(label: str) -> tuple[int, int]:
     return tuple(OrderPair.parse(label))
 
 
+def _masks_above(values: list[int], cuts: list[int]) -> tuple[int, ...]:
+    """For each cut c, the bitmask of the indices i with values[i] > c.
+
+    Each is an entry of a running OR over the distinct values, highest
+    first, found by ``bisect_right``.  The order x < y iff M(x) < m(y) has up
+    masks ``_masks_above(ms, Ms)`` and down masks ``_masks_above(-Ms, -ms)``.
+    """
+    by_value: dict[int, int] = {}
+    for i, v in enumerate(values):
+        by_value[v] = by_value.get(v, 0) | 1 << i
+    distinct = sorted(by_value)
+    above = [0] * (len(distinct) + 1)  # above[k]: valued distinct[k] or more
+    for k in range(len(distinct) - 1, -1, -1):
+        above[k] = above[k + 1] | by_value[distinct[k]]
+    return tuple(above[bisect_right(distinct, c)] for c in cuts)
+
+
 @lru_cache(maxsize=128)
 def r_lambda(lam: int) -> Poset:
     """The template order of width ``lam``: lam*(lam+1)/2 coordinate pairs.
 
     Elements are labeled "a,b" and listed lexicographically; the relation
-    (a, b) < (a2, b2) iff b < a2 is already transitively closed.  The down
-    mask of (a, b) holds the elements with b2 < a, so none is transposed.
-    There is no width limit.  Of the tame pipeline only
-    ``canonical_embedding`` builds one, of width r = tame rank <= number of
-    elements.
+    (a, b) < (a2, b2) iff b < a2 is already transitively closed.  There is
+    no width limit.  ``canonical_embedding`` builds one of width r = tame
+    rank <= number of elements, and ``check_poset``'s searches build those
+    of widths r and r - 1, and of width n on non-tame input.
     """
     if lam < 0:
         raise InvalidParameter("template width must be nonnegative")
     pairs = [(a, b) for a in range(lam) for b in range(a, lam)]
-    n = len(pairs)
-    # elements with alpha >= v form a contiguous index suffix
-    offset = [v * lam - v * (v - 1) // 2 for v in range(lam + 1)]
-    suffix = [((1 << (n - offset[v])) - 1) << offset[v] for v in range(lam + 1)]
-    # below[v]: the elements with beta < v, a running OR over v
-    with_beta = [0] * lam
-    for i, (_, b) in enumerate(pairs):
-        with_beta[b] |= 1 << i
-    below = [0] * (lam + 1)
-    for v in range(lam):
-        below[v + 1] = below[v] | with_beta[v]
+    alphas, betas = [a for a, _ in pairs], [b for _, b in pairs]
     elements = tuple(order_pair_label(a, b) for a, b in pairs)
-    return Poset._trusted(
-        elements,
-        tuple(suffix[b + 1] for _, b in pairs),
-        tuple(below[a] for a, _ in pairs),
-        {x: i for i, x in enumerate(elements)},
-    )
+    ups = _masks_above(alphas, betas)
+    downs = _masks_above([-b for b in betas], [-a for a in alphas])
+    return Poset._trusted(elements, ups, downs, {x: i for i, x in enumerate(elements)})
 
 
 def inflate(
@@ -157,25 +162,18 @@ def cummings_blocks(o: int) -> Poset:
 
     (a2, b2) < (a, b) iff b2 <= a, where the infinite marker compares above
     every natural (so b2 = inf never relates upward).  Serialized labels
-    use the token "inf".
+    use the token "inf".  It is ``r_lambda(o)`` relabeled, in the same
+    order: (a, b) relates as the template point (a, b - 1), inf as b = o.
     """
     if o < 1:
         raise InvalidParameter("cummings_blocks wants o >= 1")
-    items: list[tuple[int, int | None]] = []
-    for a in range(o):
-        items.extend((a, b) for b in range(a + 1, o))
-        items.append((a, None))
-    elements = tuple(f"{a},{'inf' if b is None else b}" for a, b in items)
-    ups = [0] * len(items)
-    downs = [0] * len(items)
-    for i, (_a, b) in enumerate(items):
-        if b is not None:
-            for j, (a2, _b2) in enumerate(items):
-                if b <= a2:
-                    ups[i] |= 1 << j
-                    downs[j] |= 1 << i
-    index = {x: i for i, x in enumerate(elements)}
-    return Poset._trusted(elements, tuple(ups), tuple(downs), index)
+    template = r_lambda(o)
+    elements = tuple(
+        f"{a},{'inf' if b == o else b}" for a in range(o) for b in range(a + 1, o + 1)
+    )
+    return Poset._trusted(
+        elements, template.up_masks, template.down_masks, _index_of(elements)
+    )
 
 
 @dataclass(frozen=True)
@@ -205,12 +203,12 @@ def realize(s: Poset) -> RealizeResult:
 
     Element x becomes a copy of the point (m(x), M(x)), so every class
     inflates its point to the class size.  ``w`` lists the copies in
-    (m, M, element index) order, their order in the inflated template; the
-    copies above one form a suffix of ``w``, and the copies below it a
-    prefix of ``w`` sorted by M, so no mask is transposed.  The coordinates'
-    recheck verifies ``iso``.  Raises NotTame (with witness) on non-tame input.
-    Only the order-theoretic restriction step is modeled: picking the
-    points out of a larger ambient structure adds nothing combinatorial.
+    (m, M, element index) order, their order in the inflated template; they
+    relate as their points do, with both mask sides from ``_masks_above``.
+    The coordinates' recheck verifies ``iso``.  Raises NotTame (with
+    witness) on non-tame input.  Only the order-theoretic restriction step
+    is modeled: picking the points out of a larger ambient structure adds
+    nothing combinatorial.
     """
     from . import tame
 
@@ -220,19 +218,11 @@ def realize(s: Poset) -> RealizeResult:
     for point in zip(ms, Ms):
         labels.append(InflatedPoint(order_pair_label(*point), copies[point]).label)
         copies[point] += 1
-    n = len(s)
-    order = sorted(range(n), key=lambda i: (ms[i], Ms[i], i))
-    sorted_m = [ms[i] for i in order]
-    full = (1 << n) - 1
-    ups = tuple(full ^ ((1 << bisect_right(sorted_m, Ms[i])) - 1) for i in order)
-    # the copies below x are those with M < m(x): a prefix of the positions by M
-    by_big = sorted(range(n), key=lambda k: Ms[order[k]])
-    sorted_big = [Ms[order[k]] for k in by_big]
-    below = [0] * (n + 1)  # below[k]: the first k positions of by_big
-    for k, pos in enumerate(by_big):
-        below[k + 1] = below[k] | 1 << pos
-    downs = tuple(below[bisect_left(sorted_big, ms[i])] for i in order)
+    order = sorted(range(len(s)), key=lambda i: (ms[i], Ms[i], i))
+    low, high = [ms[i] for i in order], [Ms[i] for i in order]
     elements = tuple(labels[i] for i in order)
+    ups = _masks_above(low, high)
+    downs = _masks_above([-big for big in high], [-m for m in low])
     index = {x: k for k, x in enumerate(elements)}
     source = Poset._trusted(elements, ups, downs, index)
     iso = Embedding(source, s, dict(zip(labels, s.elements)), verified=True)

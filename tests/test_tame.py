@@ -390,6 +390,10 @@ class TestClaimInequalities:
         with pytest.raises(NotTame):
             check_claim_inequalities(pattern_r22())
 
+    def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
+        assert not check_claim_inequalities(pattern_s_n2(2))
+        assert not check_claim_inequalities(r_lambda(3))
+
     def test_exhaustive_small(self):
         for n in range(5):
             for p in all_labeled_posets(n):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from tameorders import (
     InternalInvariantViolation,
@@ -27,8 +27,21 @@ from tameorders import (
     tame_rank,
     verify_embedding,
 )
+from tameorders.templates import _masks_above
 
 from conftest import antichain, chain, posets
+
+
+small_ints = st.lists(st.integers(-3, 3), max_size=8)
+
+
+@given(small_ints, small_ints)
+def test_masks_above_matches_the_pairwise_definition(values, cuts):
+    above = tuple(sum(1 << i for i, v in enumerate(values) if v > c) for c in cuts)
+    assert _masks_above(values, cuts) == above
+    # negated, as for down masks: the indices whose value lies below each cut
+    below = tuple(sum(1 << i for i, v in enumerate(values) if v < c) for c in cuts)
+    assert _masks_above([-v for v in values], [-c for c in cuts]) == below
 
 
 class TestRLambda:
@@ -212,6 +225,21 @@ class TestCummingsBlocks:
             p.validate()
             rebuilt = Poset(p.elements, p.up_masks)
             assert p == rebuilt and p.down_masks == rebuilt.down_masks
+
+    def test_definition_by_brute_force(self):
+        # (a2, b2) < (a, b) iff b2 <= a, and b2 = inf is never below anything;
+        # None stands for inf, listed after every natural
+        for o in range(1, 8):
+            p = cummings_blocks(o)
+            items = [(a, b) for a in range(o) for b in [*range(a + 1, o), None]]
+            assert p.elements == tuple(
+                f"{a},{'inf' if b is None else b}" for a, b in items
+            )
+            for i, (a, _b) in enumerate(items):
+                for j, (_a2, b2) in enumerate(items):
+                    below = b2 is not None and b2 <= a
+                    assert bool(p.up_masks[j] >> i & 1) == below
+                    assert bool(p.down_masks[i] >> j & 1) == below
 
     def test_rule_evaluation(self):
         p = cummings_blocks(4)
