@@ -28,7 +28,7 @@ from .errors import (
 )
 from .poset import Poset
 from .templates import parse_order_pair
-from .textfmt import format_poset, parse_poset, poset_json
+from .textfmt import format_poset, parse_poset, poset_json_text
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -41,8 +41,15 @@ _CAMEL_BREAK = re.compile(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
 def _emit_json(payload: dict) -> None:
-    # one compact line: with indent set, CPython encodes in pure Python
+    # one compact line: with indent set, CPython encodes in pure Python.
+    # reduce and gen print relation lists through poset_json_text instead,
+    # one up-mask row at a time and byte-identical to this sorted json.dumps.
     print(json.dumps(payload, sort_keys=True))
+
+
+def _json_object(parts: dict[str, str]) -> str:
+    """The sorted-key JSON object whose values are the JSON texts ``parts``."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {parts[k]}" for k in sorted(parts)) + "}"
 
 
 def _fail(args, exc: Exception, code: int, payload: dict | None = None) -> int:
@@ -113,12 +120,17 @@ def _cmd_reduce(args) -> int:
     p = _load(args.file)
     result = tame.reduce(p)
     if args.json:
-        _emit_json(
-            {
-                "quotient": poset_json(result.quotient),
-                "class_of": {str(x): c for x, c in result.class_of.items()},
-                "representatives": [str(x) for x in result.representatives],
-            }
+        class_of = {str(x): c for x, c in result.class_of.items()}
+        representatives = [str(x) for x in result.representatives]
+        # encoded in full before printing: an error leaves no partial line
+        print(
+            _json_object(
+                {
+                    "quotient": poset_json_text(result.quotient),
+                    "class_of": json.dumps(class_of, sort_keys=True),
+                    "representatives": json.dumps(representatives),
+                }
+            )
         )
     else:
         sys.stdout.write(format_poset(result.quotient))
@@ -177,7 +189,7 @@ def _cmd_gen(args) -> int:
             raise InvalidParameter(f"--random N P SEED: {exc}") from None
         p = enumeration.random_poset(enumeration.GeneratorConfig(n, prob, seed))
     if args.json:
-        _emit_json(poset_json(p))
+        print(poset_json_text(p))
     else:
         sys.stdout.write(format_poset(p))
     return EXIT_OK

@@ -5,10 +5,16 @@ then zero or more ``rel: A B`` lines meaning A < B.  Lines beginning with
 ``#`` and blank lines are ignored; the relation is closed transitively on
 parse.  Serialization writes the full closed relation, so a round trip
 reproduces the poset with identical labels.
+
+Both writers, the text format and the JSON text of :func:`poset_json_text`,
+emit the relation one up-mask row at a time: each id is encoded once and a
+row's pairs come out of a single ``str.join``.  The JSON text is byte for
+byte ``json.dumps(poset_json(p), sort_keys=True)``.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from .errors import FormatError
@@ -35,8 +41,9 @@ def format_poset(p: Poset) -> str:
     ids = [_id_of(x) for x in p.elements]
     lines = ["elements: " + " ".join(ids)]
     for x, mask in zip(ids, p.up_masks):
-        head = f"rel: {x} "
-        lines.extend(head + y for y in at_set_bits(ids, mask))
+        if mask:
+            head = f"rel: {x} "
+            lines.append(head + ("\n" + head).join(at_set_bits(ids, mask)))
     return "\n".join(lines) + "\n"
 
 
@@ -106,3 +113,15 @@ def poset_json(p: Poset) -> dict:
     for x, mask in zip(ids, p.up_masks):
         relations.extend([x, y] for y in at_set_bits(ids, mask))
     return {"elements": ids, "relations": relations}
+
+
+def poset_json_text(p: Poset) -> str:
+    """``json.dumps(poset_json(p), sort_keys=True)``, written a row at a time."""
+    enc = [json.dumps(_id_of(x)) for x in p.elements]
+    rows = [
+        "[" + x + ", " + ("], [" + x + ", ").join(at_set_bits(enc, mask)) + "]"
+        for x, mask in zip(enc, p.up_masks)
+        if mask
+    ]
+    elements = ", ".join(enc)
+    return '{"elements": [' + elements + '], "relations": [' + ", ".join(rows) + "]}"

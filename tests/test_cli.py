@@ -14,12 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 import tameorders
 from tameorders import (
+    GeneratorConfig,
     cli,
+    cummings_blocks,
     format_poset,
     parse_order_pair,
     parse_poset,
     pattern_s_n2,
+    poset_json,
     r_lambda,
+    random_poset,
     tame,
 )
 from tameorders.cli import main
@@ -69,6 +73,22 @@ class TestGen:
         assert code == 0
         obj = json.loads(out)
         assert obj["elements"] == ["x0", "x1", "y0", "y1"]
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (["--r-lambda", "12"], lambda: r_lambda(12)),
+            (["--cummings", "4"], lambda: cummings_blocks(4)),
+            (
+                ["--random", "70", "0.3", "4"],
+                lambda: random_poset(GeneratorConfig(70, 0.3, 4)),
+            ),
+        ],
+    )
+    def test_json_is_sorted_dumps_of_library_result(self, capsys, argv, build):
+        code, out, _ = run(capsys, "gen", "--json", *argv)
+        assert code == 0
+        assert out == json.dumps(poset_json(build()), sort_keys=True) + "\n"
 
     def test_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit):
@@ -211,6 +231,23 @@ class TestReduce:
         obj = json.loads(out)
         assert obj["class_of"] == {"a": 0, "b": 0, "c": 1}
         assert obj["representatives"] == ["a", "c"]
+
+    def test_json_is_sorted_dumps_of_library_result(self, capsys, tmp_path):
+        """Pre-encoded rows and keys give the bytes of one sorted json.dumps."""
+        path = tmp_path / "awkward.poset"
+        # 10, "q" and z share their up- and down-sets; "10" sorts before "9"
+        path.write_text('elements: 9 10 "q" b\\s é z\nrel: 10 9\nrel: "q" 9\n'
+                        'rel: z 9\nrel: b\\s é\n')
+        code, out, _ = run(capsys, "reduce", "--json", str(path))
+        result = tame.reduce(parse_poset(path.read_text()))
+        assert len(result.representatives) < len(result.class_of)
+        payload = {
+            "quotient": poset_json(result.quotient),
+            "class_of": {str(x): c for x, c in result.class_of.items()},
+            "representatives": [str(x) for x in result.representatives],
+        }
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 class TestRealize:

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tameorders import (
     CycleDetected,
@@ -7,12 +9,14 @@ from tameorders import (
     Poset,
     PosetError,
     UnknownElement,
+    build_poset,
     cummings_blocks,
     format_poset,
     inflate,
     parse_poset,
     pattern_s_n2,
     poset_json,
+    poset_json_text,
     r_lambda,
 )
 from tameorders.textfmt import _parse_lines
@@ -106,7 +110,7 @@ def test_json_object_shape():
     assert ["x1", "y1"] in obj["relations"]
 
 
-@pytest.mark.parametrize("emit", [format_poset, poset_json])
+@pytest.mark.parametrize("emit", [format_poset, poset_json, poset_json_text])
 @pytest.mark.parametrize(
     "elements, up_masks, bad",
     [
@@ -120,6 +124,41 @@ def test_unprintable_label_rejected(emit, elements, up_masks, bad):
     with pytest.raises(FormatError) as info:
         emit(Poset(elements, up_masks))
     assert str(info.value) == f"label {bad!r} is not a printable identifier"
+
+
+# ids JSON must escape or sort apart from index order: quote, backslash,
+# non-ASCII, control characters, and digit strings where "10" < "9"
+AWKWARD_IDS = ['"', "\\", "é", "☃", "\x00", "\x7f", "10", "9", 'a"b\\c', "x\x00é☃"]
+
+
+@st.composite
+def labeled_posets(draw):
+    """A random order on distinct ids: AWKWARD_IDS and short printable text."""
+    ids = st.one_of(
+        st.sampled_from(AWKWARD_IDS),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+    )
+    labels = draw(
+        st.lists(ids.filter(lambda t: t.split() == [t]), max_size=8, unique=True)
+    )
+    n = len(labels)
+    order = draw(st.permutations(range(n)))
+    pairs = [
+        (labels[order[i]], labels[order[j]])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    ]
+    return build_poset(labels, pairs)
+
+
+@given(labeled_posets())
+@example(Poset([], []))
+@example(Poset(AWKWARD_IDS, [0] * len(AWKWARD_IDS)))  # antichain
+@example(build_poset(AWKWARD_IDS, zip(AWKWARD_IDS, AWKWARD_IDS[1:])))  # chain
+@example(r_lambda(12))  # 78 elements: dense rows take the bit-string kernel
+def test_json_text_is_sorted_dumps(p):
+    assert poset_json_text(p) == json.dumps(poset_json(p), sort_keys=True)
 
 
 @given(posets())
