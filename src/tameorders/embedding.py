@@ -14,12 +14,9 @@ from .errors import (
     BudgetExceeded,
     InternalInvariantViolation,
     InvalidParameter,
-    SizeLimitExceeded,
     UnknownElement,
 )
 from .poset import Label, Poset, build_poset, is_chain, iter_bits
-
-ISO_SIZE_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -213,13 +210,9 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
     """True iff an order isomorphism p -> q exists.
 
     Posets of equal size are isomorphic exactly when one embeds two-way into
-    the other, so this is ``find_embedding`` behind a relation-count check;
-    SizeLimitExceeded above ``ISO_SIZE_LIMIT`` elements.
+    the other, so this is ``find_embedding`` behind a relation-count check,
+    with no size limit.
     """
-    if len(p) > ISO_SIZE_LIMIT or len(q) > ISO_SIZE_LIMIT:
-        raise SizeLimitExceeded(
-            f"isomorphism search limited to {ISO_SIZE_LIMIT} elements"
-        )
     if len(p) != len(q) or p.num_relations != q.num_relations:
         return False
     return find_embedding(p, q) is not None

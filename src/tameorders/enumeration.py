@@ -142,12 +142,13 @@ class VerificationReport:
 def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     """Run the per-instance verification checks; returns (is_tame, failures).
 
-    Checks, in order: the up/down comparability characterization of pattern
-    freeness; constructive and brute-force embeddability of the reduction
-    for tame inputs, and non-embeddability into any template for non-tame
-    ones; on reduced tame inputs of rank r >= 1, no embedding into the
-    template of width r - 1, which with the embedding into width r makes r
-    the minimal width; and the coordinate inequalities on tame inputs.
+    One pattern scan gives the verdict; later checks reuse work already
+    done and scan again only to name a witness after failing.  In order:
+    "comparability" (up/down comparability characterizes pattern freeness);
+    on tame inputs "rank-invariance" under ``reduce(check=True)``,
+    "embed-tame" into the template of the rank, "minimality" (a reduced
+    input of rank r >= 1 embeds into no width r - 1, so r is minimal) and
+    "claim-inequalities"; on non-tame inputs "embed-nontame" (no template).
     Every search is bounded by ``budget``.
     """
     failures: list[dict] = []
@@ -164,9 +165,9 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
             f"witness={witness!r} u_comparable={u_ok} d_comparable={d_ok}",
         )
     if tame_here:
-        rank = tame.tame_rank(p)
+        rank = tame._rank(p)
         quotient = tame.reduce(p, check=True).quotient
-        quotient_rank = tame.tame_rank(quotient)
+        quotient_rank = tame._rank(quotient)
         if quotient_rank != rank:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
         tame.canonical_embedding(quotient)  # raises unless its recheck passes

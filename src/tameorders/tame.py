@@ -54,7 +54,7 @@ def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
     The quotient is the suborder induced on the representatives, and ``p``
     itself when every class is a singleton; equal signatures make this
     independent of the choice, which ``check=True`` rechecks across every
-    cross pair.
+    cross pair when some class has several members.
     """
     class_of: dict[Label, int] = {}
     reps: list[Label] = []
@@ -66,7 +66,7 @@ def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
         class_of[x] = by_sig[sig]
     quotient = p if len(reps) == len(p) else restrict(p, reps)
     result = ReductionResult(quotient, class_of, tuple(reps))
-    if check:
+    if check and quotient is not p:
         for ix, x in enumerate(p.elements):
             cx = class_of[x]
             for iy, y in enumerate(p.elements):
@@ -228,19 +228,20 @@ def check_claim_inequalities(p: Poset) -> bool:
 
     Checks m(x) <= M(x) for every x, M(x) < m(y) whenever x < y, and
     m(y) <= M(x) whenever x is not below y (including incomparable pairs
-    and y < x, exactly as quantified).
+    and y < x, exactly as quantified).  Passing inequalities make p an
+    interval order, hence tame, so the pattern scan runs only after one
+    fails: NotTame (with the witness) on non-tame input, else False.
     """
-    _require_tame(p)
     ms, Ms = _coordinates(p)
     n = len(p)
-    for i in range(n):
-        for j in range(n):
-            if p.up_masks[i] >> j & 1:
-                if not Ms[i] < ms[j]:
-                    return False
-            elif not ms[j] <= Ms[i]:
-                return False
-    return True
+    ok = all(
+        Ms[i] < ms[j] if p.up_masks[i] >> j & 1 else ms[j] <= Ms[i]
+        for i in range(n)
+        for j in range(n)
+    )
+    if not ok:
+        _require_tame(p)
+    return ok
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from tameorders import (
     enumeration,
     is_isomorphic,
     random_poset,
+    tame,
     verify_proposition,
     verify_sampled,
 )
@@ -140,6 +142,21 @@ class TestVerifyProposition:
         assert verify_proposition(4).ok
         assert len(calls) == 219 + 120
 
+    def test_one_pattern_scan_per_poset(self, monkeypatch):
+        # the verdict's scan only: every later check reuses it and scans
+        # again only to name a witness after failing
+        real = enumeration.embeds_r22
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(enumeration, "embeds_r22", counted)
+        monkeypatch.setattr(tame, "embeds_r22", counted)
+        assert verify_proposition(4).ok
+        assert len(calls) == 219
+
     def test_rank_too_large_fails_minimality(self, corrupt_rank):
         # every reduced tame 4-point poset embeds one below the raised rank
         report = verify_proposition(4)
@@ -157,6 +174,49 @@ class TestVerifyProposition:
     def test_json_shape(self):
         obj = verify_proposition(2).to_json()
         assert obj == {"n": 2, "total": 3, "tame_count": 3, "counterexamples": []}
+
+
+def fired(report) -> dict[str, int]:
+    return dict(Counter(c["check"] for c in report.counterexamples))
+
+
+class TestEverySweepCheckFires:
+    """Each sweep check, broken on purpose, flags exactly the posets it guards.
+
+    ``verify_proposition(4)`` sweeps 219 posets: 12 non-tame and 207 tame,
+    of which 120 are reduced and 87 are not.
+    """
+
+    def test_no_embedding_fails_embed_tame(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "find_embedding", lambda *a, **k: None)
+        assert fired(verify_proposition(4)) == {"embed-tame": 207}
+
+    def test_any_embedding_fails_embed_nontame_and_minimality(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "find_embedding", lambda *a, **k: True)
+        assert fired(verify_proposition(4)) == {"embed-nontame": 12, "minimality": 120}
+
+    def test_comparable_down_sets_fail_comparability(self, monkeypatch):
+        monkeypatch.setattr(tame, "d_comparable", lambda p: True)
+        assert fired(verify_proposition(4)) == {"comparability": 12}
+
+    def test_rank_raised_off_quotient_fails_rank_invariance(self, monkeypatch):
+        real = tame._rank
+        monkeypatch.setattr(tame, "_rank", lambda p: real(p) + (not tame.is_reduced(p)))
+        assert fired(verify_proposition(4)) == {"rank-invariance": 87}
+
+    def test_coordinate_raised_off_quotient_fails_claim_inequalities(
+        self, monkeypatch
+    ):
+        real = tame._coordinates
+
+        def shifted(p):
+            ms, Ms = real(p)
+            if len(p) and not tame.is_reduced(p):
+                Ms[0] += 1
+            return ms, Ms
+
+        monkeypatch.setattr(tame, "_coordinates", shifted)
+        assert fired(verify_proposition(4)) == {"claim-inequalities": 43}
 
 
 class TestVerifySampled:

@@ -136,6 +136,13 @@ class TestReduce:
                 )
                 assert same == sigs_equal
 
+    def test_check_catches_ill_defined_quotient(self, monkeypatch):
+        # a quotient that drops every relation breaks the cross-pair recheck
+        monkeypatch.setattr(tame, "restrict", lambda p, keep: build_poset(keep, []))
+        p = build_poset(list("abcd"), [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")])
+        with pytest.raises(InternalInvariantViolation):
+            reduce(p, check=True)
+
     def test_representatives(self):
         result = reduce(antichain(3))
         assert result.representatives == ("a0",)
@@ -399,6 +406,18 @@ class TestClaimInequalities:
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is None:
                     assert check_claim_inequalities(p)
+
+    def test_not_tame_raises_on_every_small_poset(self):
+        # passing inequalities prove tameness, so only a failure scans, and
+        # every non-tame poset fails one
+        five_point = 0
+        for n in range(6):
+            for p in all_labeled_posets(n):
+                if embeds_r22(p) is not None:
+                    five_point += n == 5
+                    with pytest.raises(NotTame):
+                        check_claim_inequalities(p)
+        assert five_point == 780
 
 
 def test_reduced_tame_embedding_verifies_exhaustively_small():
