@@ -157,9 +157,7 @@ def _cmd_verify(args) -> int:
             args.n, args.samples, args.seed or 0, budget=args.budget
         )
     else:
-        report = enumeration.verify_proposition(
-            args.n, allow_large=args.exhaustive, budget=args.budget
-        )
+        report = enumeration.verify_proposition(args.n, budget=args.budget)
     if args.json:
         _emit_json(report.to_json())
     else:
@@ -209,13 +207,7 @@ def _file_args(p: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="force exhaustive mode (allows the slow n=6 sweep)",
-    )
-    mode.add_argument("--samples", type=int, default=None, metavar="K")
+    p.add_argument("--samples", type=int, default=None, metavar="K")
     p.add_argument(
         "--seed", type=int, default=None, metavar="S",
         help="sampler seed (default 0); requires --samples",

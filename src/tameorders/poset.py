@@ -63,7 +63,7 @@ def _transpose(up: tuple[int, ...]) -> tuple[int, ...]:
     for mask, below in holders.items():
         if mask >> n:
             raise ValueError("up mask refers to an element index out of range")
-        for j in iter_bits(mask):
+        for j in at_set_bits(range(n), mask):
             down[j] |= below
     return tuple(down)
 

@@ -191,6 +191,18 @@ def M_value(p: Poset, x: Label) -> int:
     return _canonical_coordinates(p)[2][p.index(x)]
 
 
+def _reduced_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
+    """``_canonical_coordinates`` of a reduced poset.
+
+    NotTame (with the witness) on non-tame input, else NotReduced when two
+    elements share their signature.
+    """
+    if not is_reduced(p):
+        _require_tame(p)
+        raise NotReduced("canonical embedding wants a reduced poset")
+    return _canonical_coordinates(p)
+
+
 def canonical_embedding(p: Poset) -> Embedding:
     """Embed a reduced tame poset into the template of its tame rank.
 
@@ -198,10 +210,7 @@ def canonical_embedding(p: Poset) -> Embedding:
     width r = tame rank <= len(p), with no other limit; this is the one
     place in the pipeline that builds it.
     """
-    if not is_reduced(p):
-        _require_tame(p)
-        raise NotReduced("canonical embedding wants a reduced poset")
-    rank, ms, Ms = _canonical_coordinates(p)
+    rank, ms, Ms = _reduced_coordinates(p)
     mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}
     return Embedding(p, r_lambda(rank), mapping, verified=True)
 

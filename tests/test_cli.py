@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -116,6 +117,15 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
         assert "tame rank: 4" in out
+
+    def test_non_reduced_tame_output(self, capsys, tmp_path):
+        path = write_gen(capsys, tmp_path, "anti2", "--random", "2", "0", "1")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert out == (
+            "tame\ntame rank: 1\n"
+            "input is not reduced; run reduce for the canonical embedding\n"
+        )
 
     def test_json(self, capsys, tmp_path):
         path = write_gen(capsys, tmp_path, "s2", "--s-n2", "2")
@@ -294,18 +304,35 @@ class TestVerify:
         assert code == 2
         assert "exceeded" in err
 
-    def test_too_large_without_opt_in(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "6")
-        assert code == 1
-        assert "opt-in" in err
+    def test_counterexample_lines(self, capsys, corrupt_rank):
+        # the raised rank fails minimality on all 120 reduced tame posets;
+        # the text report lists the first ten
+        code, out, _ = run(capsys, "verify", "--n", "4")
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0] == "n=4: 219 posets, 207 tame, 120 counterexamples"
+        assert len(lines) == 11
+        for line in lines[1:]:
+            assert re.fullmatch(
+                r"  \[\d+\] minimality: embeds into width \d+ < tame rank \d+", line
+            )
 
-    def test_exhaustive_and_samples_are_exclusive(self, capsys):
+    def test_too_large_without_opt_in(self, capsys):
+        # n = 6 runs with no flag (about 40 s); n = 7 is past the one cap
+        code, out, err = run(capsys, "verify", "--n", "7")
+        assert code == 1 and out == ""
+        assert "capped at 6" in err
+        code, out, _ = run(capsys, "verify", "--n", "7", "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "size-limit-exceeded"
+
+    def test_exhaustive_is_an_unknown_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "6", "--exhaustive", "--samples", "2", "--seed", "1"])
+            main(["verify", "--n", "3", "--exhaustive"])
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("usage:") and "not allowed with" in err
+        assert err.startswith("usage:") and "unrecognized arguments: --exhaustive" in err
 
     def test_seed_requires_samples(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -782,9 +809,13 @@ def test_module_entry_point_reads_sys_argv(corpus_files):
             capture_output=True, check=False, env=env, text=True,
         )
 
-    argv = ["check", "--json", corpus_files["FILE"]]
-    child = run_module(*argv)
-    assert (child.returncode, child.stdout, child.stderr) == outcome(argv)
+    for argv in (
+        ["check", "--json", corpus_files["FILE"]],
+        ["verify", "--n", "2", "--json"],
+        ["gen", "--r22"],
+    ):
+        child = run_module(*argv)
+        assert (child.returncode, child.stdout, child.stderr) == outcome(argv)
     child = run_module()
     assert child.returncode == 1 and child.stdout == ""
     assert child.stderr.startswith("usage: tameorders")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -72,6 +73,18 @@ class TestAllLabeledPosets:
         with pytest.raises(SizeLimitExceeded):
             list(all_labeled_posets(7))
 
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (4, "3ed2aee23b3d8d920700105a51dae006b34129ad10cb71c42c18c4a93c031638"),
+            (5, "fa3401c38d61121360f5f21fdae93d1d14b1d235d0f3bbde2562260e8b7da9ad"),
+        ],
+    )
+    def test_order_pinned(self, n, digest):
+        # every counterexample's "index" is a position in this stream
+        masks = repr([p.up_masks for p in all_labeled_posets(n)])
+        assert hashlib.sha256(masks.encode()).hexdigest() == digest
+
 
 class TestRandomPoset:
     def test_zero_probability_is_antichain(self):
@@ -144,18 +157,27 @@ class TestVerifyProposition:
 
     def test_one_pattern_scan_per_poset(self, monkeypatch):
         # the verdict's scan only: every later check reuses it and scans
-        # again only to name a witness after failing
-        real = enumeration.embeds_r22
-        calls = []
+        # again only to name a witness after failing; the quotient's
+        # coordinates are rechecked without building a labeled embedding
+        calls = Counter()
 
-        def counted(p):
-            calls.append(p)
-            return real(p)
+        def counted(name, real):
+            def wrapper(p):
+                calls[name] += 1
+                return real(p)
 
-        monkeypatch.setattr(enumeration, "embeds_r22", counted)
-        monkeypatch.setattr(tame, "embeds_r22", counted)
+            return wrapper
+
+        scan = counted("embeds_r22", enumeration.embeds_r22)
+        monkeypatch.setattr(enumeration, "embeds_r22", scan)
+        monkeypatch.setattr(tame, "embeds_r22", scan)
+        monkeypatch.setattr(
+            tame,
+            "canonical_embedding",
+            counted("canonical_embedding", tame.canonical_embedding),
+        )
         assert verify_proposition(4).ok
-        assert len(calls) == 219
+        assert calls == {"embeds_r22": 219}
 
     def test_rank_too_large_fails_minimality(self, corrupt_rank):
         # every reduced tame 4-point poset embeds one below the raised rank
@@ -163,12 +185,27 @@ class TestVerifyProposition:
         assert len(report.counterexamples) == 120
         assert {c["check"] for c in report.counterexamples} == {"minimality"}
 
-    def test_size_cap_default(self):
-        with pytest.raises(SizeLimitExceeded):
-            verify_proposition(6)
+    def test_size_cap_default(self, monkeypatch):
+        # the generator's cap is the only one: n = 6 reaches the sweep as
+        # is, n = 7 and n = -1 fail before any poset is checked
+        firsts = []
+
+        def first_only(n, posets, budget):
+            firsts.append(next(iter(posets)))
+            return enumeration.VerificationReport(n, 0, 0)
+
+        monkeypatch.setattr(enumeration, "_sweep", first_only)
+        verify_proposition(6)
+        assert len(firsts) == 1 and len(firsts[0]) == 6
+        monkeypatch.undo()
+        with pytest.raises(SizeLimitExceeded, match="capped at 6"):
+            verify_proposition(7)
+        with pytest.raises(InvalidParameter):
+            verify_proposition(-1)
 
     def test_size_cap_opt_in(self):
-        with pytest.raises(SizeLimitExceeded):
+        # there is no opt-in keyword left to lift the cap
+        with pytest.raises(TypeError):
             verify_proposition(7, allow_large=True)
 
     def test_json_shape(self):

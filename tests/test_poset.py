@@ -267,6 +267,22 @@ class TestValidate:
             with pytest.raises(ValueError):
                 forged.validate()
 
+    def test_cycles_named(self):
+        with pytest.raises(CycleDetected, match="'a' below itself"):
+            Poset(["a"], [0b1]).validate()
+        with pytest.raises(CycleDetected, match="'a' and 'b' below each other"):
+            Poset(["a", "b"], [0b10, 0b01]).validate()
+
+    def test_constructor_rejects_bad_masks(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Poset(["a"], [0b10])
+        with pytest.raises(ValueError, match="one up mask per element"):
+            Poset(["a", "b"], [0])
+
+    def test_unhashable_label_is_unknown(self):
+        with pytest.raises(UnknownElement, match="unhashable"):
+            chain(2).index([1])
+
     def test_non_transitive_wider_than_a_word(self):
         n = 70
         labels = [f"e{i}" for i in range(n)]
@@ -355,6 +371,11 @@ class TestMaskKernels:
     def test_build_poset(self, kernel_cases):
         for labels, pairs, above, below in kernel_cases.values():
             self.assert_masks(build_poset(labels, pairs), labels, above, below)
+
+    def test_constructor_transposes(self, kernel_cases):
+        for labels, pairs, above, below in kernel_cases.values():
+            up = build_poset(labels, pairs).up_masks
+            self.assert_masks(Poset(labels, up), labels, above, below)
 
     def test_restrict(self, kernel_cases):
         rng = random.Random(7)

@@ -9,6 +9,7 @@ from tameorders import (
     M_value,
     NotReduced,
     NotTame,
+    TameReport,
     all_labeled_posets,
     build_poset,
     canonical_embedding,
@@ -101,6 +102,12 @@ class TestIsTame:
                 assert is_tame(p).to_json()["embedding"] == {
                     str(x): list(parse_order_pair(y)) for x, y in mapping.items()
                 }
+
+    def test_report_wants_witness_or_rank(self):
+        with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
+            TameReport(tame=True)
+        with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
+            TameReport(tame=False, witness=("a", "b", "c", "d"), tame_rank=1)
 
     def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
         with pytest.raises(InternalInvariantViolation):

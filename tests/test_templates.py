@@ -164,6 +164,13 @@ class TestInflate:
             assert point.base == proj[label]
             assert point.label == label
 
+    def test_bad_point_label(self):
+        from tameorders import FormatError, InflatedPoint
+
+        for label in ["x", "#1", "x#", "x#a"]:
+            with pytest.raises(FormatError, match="not an inflated point label"):
+                InflatedPoint.parse(label)
+
     def test_reduction_commutes(self):
         for base in (chain(3), r_lambda(2), antichain(2)):
             mult = {x: 1 + (i % 3) for i, x in enumerate(base.elements)}
