@@ -27,7 +27,6 @@ from .errors import (
     PosetError,
 )
 from .poset import Poset
-from .templates import parse_order_pair
 from .textfmt import format_poset, parse_poset, poset_json_text
 
 EXIT_OK = 0
@@ -107,12 +106,13 @@ def _cmd_rank(args) -> int:
 
 def _cmd_embed(args) -> int:
     p = _load(args.file)
-    emb = tame.canonical_embedding(p)
     if args.json:
-        _emit_json(emb.to_json())
+        _emit_json(tame.canonical_embedding(p).to_json())
     else:
-        for x, y in emb.mapping.items():
-            print(f"{x} -> {parse_order_pair(y)}")
+        # the text form prints only the coordinates, so no template is built
+        _, ms, Ms = tame._reduced_coordinates(p)
+        for x, m, big in zip(p.elements, ms, Ms):
+            print(f"{x} -> {(m, big)}")
     return EXIT_OK
 
 

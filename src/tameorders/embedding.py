@@ -117,8 +117,9 @@ def _search(
     and above.  Placing s at t intersects each later domain with t's up
     mask, down mask or incomparable mask, as the later element lies above,
     below or apart from s; none of them holds t, so the map stays
-    injective.  A choice that empties some domain is dropped at
-    once.  Each candidate taken from a domain is one node of ``budget``.
+    injective.  A choice is dropped at the first later domain it empties,
+    before the rest are cut.  Each candidate taken from a domain is one node
+    of ``budget``.
 
     Returns the image index per pattern element, or None.  Candidates are
     tried in ascending target index, so with ``order`` equal to the identity
@@ -154,10 +155,16 @@ def _search(
             candidates ^= low
             t = low.bit_length() - 1
             budget.spend()
-            narrowed = [domain & masks[t] for domain, masks in zip(later, cuts)]
-            if all(narrowed) and assign(depth + 1, narrowed):
-                placed[depth] = t
-                return True
+            narrowed = []
+            for domain, masks in zip(later, cuts):
+                domain &= masks[t]
+                if not domain:
+                    break
+                narrowed.append(domain)
+            else:
+                if assign(depth + 1, narrowed):
+                    placed[depth] = t
+                    return True
         return False
 
     if not assign(0, domains):
@@ -169,7 +176,11 @@ def _search(
 
 
 def find_embedding(
-    pattern: Poset, target: Poset, *, budget: int | None = None
+    pattern: Poset,
+    target: Poset,
+    *,
+    budget: int | None = None,
+    _first: Sequence[int] = (),
 ) -> Embedding | None:
     """Least two-way embedding of ``pattern`` into ``target``, or None.
 
@@ -177,11 +188,15 @@ def find_embedding(
     under element index order, and comes back verified.  Both passes keep a
     bitmask domain of still-consistent targets per pattern element and cut
     the later domains after every assignment (see ``_search``).  Absence is
-    decided first with a most-constrained-first assignment order, which
-    fails fast on impossible instances; the witness pass then reruns in
-    index order.  ``budget`` caps the nodes across both passes, a node being
-    one assignment consistent with every earlier one (BudgetExceeded rather
-    than a wrong answer); a negative budget is an InvalidParameter.
+    decided first with a most-constrained-first assignment order (most
+    related elements first), which fails fast on impossible instances; when
+    ``check_poset`` refutes a non-tame poset, that order starts with the
+    copy of the forbidden pattern its scan found, which no template can
+    host.  The decide order only sets how soon absence is proven, never the
+    verdict, and the witness pass reruns in index order.  ``budget`` caps
+    the nodes across both passes, a node being one assignment consistent
+    with every earlier one (BudgetExceeded rather than a wrong answer); a
+    negative budget is an InvalidParameter.
     """
     shared = _Budget(budget)
     k, n = len(pattern), len(target)
@@ -193,6 +208,10 @@ def find_embedding(
         for i in range(k)
     ]
     decide_order = sorted(range(k), key=lambda i: (-degree[i], i))
+    if _first:
+        # distinct indices placed first; the search stays complete, so any
+        # leading order gives the same verdict
+        decide_order = [*_first, *(i for i in decide_order if i not in _first)]
     if _search(pattern, decide_order, tables, shared) is None:
         return None
     image = _search(pattern, list(range(k)), tables, shared)

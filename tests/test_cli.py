@@ -199,6 +199,17 @@ class TestEmbed:
         assert "y1 -> (1, 2)" in lines
         assert "y0 -> (2, 2)" in lines
 
+    def test_text_builds_no_template(self, capsys, tmp_path, monkeypatch):
+        # the text form prints the coordinates alone
+        path = write_gen(capsys, tmp_path, "s2", "--s-n2", "2")
+        expected = run(capsys, "embed", str(path))
+
+        def no_template(lam):
+            raise AssertionError("template built")
+
+        monkeypatch.setattr(tame, "r_lambda", no_template)
+        assert run(capsys, "embed", str(path)) == expected
+
     def test_json(self, capsys, tmp_path):
         path = write_gen(capsys, tmp_path, "s2", "--s-n2", "2")
         code, out, _ = run(capsys, "embed", str(path), "--json")
@@ -557,6 +568,13 @@ class TestJsonDocument:
             "error": "budget-exceeded",
             "message": err.strip(),
         }
+
+    def test_nine_point_samples_fit_a_small_budget(self, capsys):
+        argv = ["verify", "--n", "9", "--samples", "10", "--seed", "1"]
+        code, out, _ = run(capsys, *argv, "--budget", "1000", "--json")
+        assert code == 0
+        obj = self.one_document(out)
+        assert (obj["total"], obj["tame_count"], obj["counterexamples"]) == (10, 5, [])
 
     def test_exit_2_budget(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "4", "--budget", "0", "--json")

@@ -113,6 +113,25 @@ class TestFindEmbedding:
             found = None if emb is None else emb.mapping
             assert found == oracle_least_embedding(p, t), (p.pairs(), t.pairs())
 
+    def test_leading_order_changes_no_answer(self):
+        # the decide pass may start from any elements (check_poset starts a
+        # non-tame poset at its witness); the search stays complete, so the
+        # verdict and the returned map never move
+        templates = [r_lambda(lam) for lam in range(5)]
+        for p in (p for n in range(5) for p in all_labeled_posets(n)):
+            hints = [range(min(4, len(p)))]
+            witness = embeds_r22(p)
+            if witness is not None:
+                first = [p.index(x) for x in witness]
+                hints += [first, first[::-1]]
+            for t in templates:
+                plain = find_embedding(p, t)
+                expected = None if plain is None else plain.mapping
+                for hint in hints:
+                    emb = find_embedding(p, t, _first=hint)
+                    found = None if emb is None else emb.mapping
+                    assert found == expected, (p.pairs(), len(t), list(hint))
+
     @given(posets(max_size=5))
     @settings(max_examples=50)
     def test_against_brute_oracle(self, p):

@@ -212,6 +212,14 @@ class TestVerifyProposition:
         obj = verify_proposition(2).to_json()
         assert obj == {"n": 2, "total": 3, "tame_count": 3, "counterexamples": []}
 
+    @pytest.mark.slow
+    def test_six(self):
+        # every labeled poset on 6 points (A001035), the interval orders
+        # among them (A079144); run with -m slow
+        report = verify_proposition(6)
+        assert (report.total, report.tame_count) == (130023, 81663)
+        assert report.ok
+
 
 def fired(report) -> dict[str, int]:
     return dict(Counter(c["check"] for c in report.counterexamples))
@@ -260,6 +268,13 @@ class TestVerifySampled:
     def test_runs_clean(self):
         report = verify_sampled(6, 25, seed=11)
         assert report.total == 25 and report.ok
+
+    def test_nontame_refutations_fit_a_small_budget(self):
+        # each embed-nontame search starts at the scan's witness, so no
+        # search of these 9-point samples needs more than 1000 nodes
+        report = verify_sampled(9, 10, seed=1, budget=1000)
+        assert (report.total, report.tame_count) == (10, 5)
+        assert report.ok
 
     def test_deterministic(self):
         a = verify_sampled(5, 10, seed=3).to_json()
