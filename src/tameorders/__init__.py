@@ -14,7 +14,6 @@ from .embedding import (
     pattern_r22,
     pattern_s_n2,
     verify_embedding,
-    witness_embedding,
 )
 from .enumeration import (
     GeneratorConfig,
@@ -41,26 +40,16 @@ from .errors import (
 from .poset import (
     Poset,
     build_poset,
-    cu_set,
-    down_set,
     restrict,
-    up_set,
-    well_founded_rank,
 )
 from .tame import (
-    M_value,
     ReductionResult,
-    SetFamily,
     TameReport,
     canonical_embedding,
     check_claim_inequalities,
-    cu_family,
     d_comparable,
-    d_family,
-    frak_d_family,
     is_reduced,
     is_tame,
-    m_value,
     minimal_rank_bruteforce,
     reduce,
     tame_rank,
@@ -68,7 +57,6 @@ from .tame import (
 )
 from .templates import (
     InflatedPoint,
-    OrderPair,
     RealizeResult,
     cummings_blocks,
     inflate,
@@ -90,15 +78,12 @@ __all__ = [
     "InternalInvariantViolation",
     "InvalidMultiplicity",
     "InvalidParameter",
-    "M_value",
     "NotReduced",
     "NotTame",
-    "OrderPair",
     "Poset",
     "PosetError",
     "RealizeResult",
     "ReductionResult",
-    "SetFamily",
     "SizeLimitExceeded",
     "TameReport",
     "UnknownElement",
@@ -107,21 +92,15 @@ __all__ = [
     "build_poset",
     "canonical_embedding",
     "check_claim_inequalities",
-    "cu_family",
-    "cu_set",
     "cummings_blocks",
     "d_comparable",
-    "d_family",
-    "down_set",
     "embeds_r22",
     "find_embedding",
     "format_poset",
-    "frak_d_family",
     "inflate",
     "is_isomorphic",
     "is_reduced",
     "is_tame",
-    "m_value",
     "minimal_rank_bruteforce",
     "order_pair_label",
     "parse_order_pair",
@@ -137,10 +116,7 @@ __all__ = [
     "restrict",
     "tame_rank",
     "u_comparable",
-    "up_set",
     "verify_embedding",
     "verify_proposition",
     "verify_sampled",
-    "well_founded_rank",
-    "witness_embedding",
 ]

@@ -292,13 +292,3 @@ def embeds_r22(p: Poset) -> tuple[Label, Label, Label, Label] | None:
                 e = p.elements
                 return (e[ix], e[ix2], e[iy], e[iy2])
     return None
-
-
-def witness_embedding(p: Poset, witness: tuple[Label, Label, Label, Label]) -> Embedding:
-    """Wrap an embeds_r22 witness as a verified embedding of the pattern."""
-    pat = pattern_r22()
-    x, x2, y, y2 = witness
-    mapping = {"x0": x, "x1": x2, "y0": y, "y1": y2}
-    if not verify_embedding(Embedding(pat, p, mapping)):
-        raise InternalInvariantViolation("witness quadruple is not a pattern copy")
-    return Embedding(pat, p, mapping, verified=True)

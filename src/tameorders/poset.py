@@ -168,10 +168,6 @@ class Poset:
     def num_relations(self) -> int:
         return sum(mask.bit_count() for mask in self.up_masks)
 
-    def label_set(self, mask: int) -> frozenset[Label]:
-        """Labels of the elements whose index bits are set in ``mask``."""
-        return frozenset(at_set_bits(self.elements, mask))
-
     def validate(self) -> None:
         """Recheck the masks and the order axioms; raise on failure.
 
@@ -312,22 +308,6 @@ def _least_on_cycle(direct: list[list[int]], candidates: Iterable[int]) -> int:
     raise ValueError("no element lies on a cycle")
 
 
-def down_set(p: Poset, x: Label) -> frozenset[Label]:
-    """Strict down-set {z : z < x}."""
-    return p.label_set(p.down_masks[p.index(x)])
-
-
-def up_set(p: Poset, x: Label) -> frozenset[Label]:
-    """Strict up-set {z : x < z}."""
-    return p.label_set(p.up_masks[p.index(x)])
-
-
-def cu_set(p: Poset, x: Label) -> frozenset[Label]:
-    """Complement of the up-set: {y : not x < y}.  Contains x itself."""
-    full = (1 << len(p)) - 1
-    return p.label_set(full & ~p.up_masks[p.index(x)])
-
-
 def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
     """Suborder induced on ``subset``, keeping p's element order.
 
@@ -360,20 +340,3 @@ def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
         tuple([compress(p.down_masks[old]) for old in keep]),
         {x: new for new, x in enumerate(elements)},
     )
-
-
-def well_founded_rank(p: Poset) -> int:
-    """Number of elements in a longest chain; 0 for the empty poset.
-
-    Element ranks follow rank(x) = max(rank(y) + 1 for y < x), minimal
-    elements at 0; the poset rank is max(rank(x)) + 1.
-    """
-    n = len(p)
-    if n == 0:
-        return 0
-    order = sorted(range(n), key=lambda i: p.down_masks[i].bit_count())
-    rank = [0] * n
-    for i in order:
-        below = p.down_masks[i]
-        rank[i] = max((rank[j] + 1 for j in iter_bits(below)), default=0)
-    return max(rank) + 1

@@ -1,4 +1,4 @@
-"""Tameness analysis: reduction, set families, tame rank, canonical embedding.
+"""Tameness analysis: reduction, tame rank, coordinates, canonical embedding.
 
 A finite order is tame exactly when it avoids the two-disjoint-chains
 pattern; the infinite second forbidden pattern cannot occur at finite scale,
@@ -7,7 +7,6 @@ which every report in this module takes for granted and documents.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .embedding import Embedding, embeds_r22, find_embedding
@@ -44,9 +43,6 @@ class ReductionResult:
     class_of: dict[Label, int]
     representatives: tuple[Label, ...]
 
-    def members(self, class_index: int) -> list[Label]:
-        return [x for x in self.class_of if self.class_of[x] == class_index]
-
 
 def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
     """Collapse elements with equal (down-set, up-set) signatures.
@@ -79,53 +75,6 @@ def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
     return result
 
 
-@dataclass(frozen=True)
-class SetFamily(Sequence):
-    """A duplicate-free family of element sets.
-
-    ``linear`` reports whether the family is sorted strictly increasing
-    under inclusion, which holds whenever the poset avoids the forbidden
-    pattern; otherwise the order is merely deterministic (by cardinality,
-    then index mask).
-    """
-
-    sets: tuple[frozenset, ...]
-    linear: bool
-
-    def __getitem__(self, i):
-        return self.sets[i]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
-def _family(p: Poset, masks: Sequence[int]) -> SetFamily:
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    return SetFamily(tuple(p.label_set(m) for m in unique), is_chain(unique))
-
-
-def d_family(p: Poset) -> SetFamily:
-    """The distinct down-sets, inclusion-sorted when that order is linear."""
-    return _family(p, p.down_masks)
-
-
-def cu_family(p: Poset) -> SetFamily:
-    """The distinct up-set complements, inclusion-sorted when linear."""
-    full = (1 << len(p)) - 1
-    return _family(p, [full & ~m for m in p.up_masks])
-
-
-def frak_d_family(p: Poset) -> SetFamily:
-    """The completed down-set family: the distinct down-sets plus the empty set.
-
-    The completion adds the unions of inclusion-downward-closed subfamilies.
-    On a tame poset the down-sets form a chain, so every such union is a
-    down-set already or empty; the family is built that way on any input,
-    with no size limit.
-    """
-    return _family(p, [0, *p.down_masks])
-
-
 def _require_tame(p: Poset) -> None:
     witness = embeds_r22(p)
     if witness is not None:
@@ -150,10 +99,11 @@ def tame_rank(p: Poset) -> int:
 def _coordinates(p: Poset) -> tuple[list[int], list[int]]:
     """(m, M) per element index; the canonical coordinates when p is tame.
 
-    The completed down-set family and the up-set complements of a tame
-    poset are chains, so a set's size fixes its position: m(x) is the position of |d(x)| among
-    the distinct down-set sizes plus 0, M(x) that of n - |u(x)| among the
-    distinct up-set complement sizes.
+    m(x) counts the completed down-set family (the distinct down-sets and the
+    empty set) strictly inside d(x), M(x) the distinct up-set complements
+    strictly inside cu(x).  Both families are chains on a tame poset, so a
+    set's size fixes its position: |d(x)| among the distinct down-set sizes
+    and 0, n - |u(x)| among the distinct up-set complement sizes.
     """
     n = len(p)
     d_sizes = [m.bit_count() for m in p.down_masks]
@@ -181,16 +131,6 @@ def _canonical_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
     return rank, ms, Ms
 
 
-def m_value(p: Poset, x: Label) -> int:
-    """How many members of the completed down-set family sit strictly below d(x)."""
-    return _canonical_coordinates(p)[1][p.index(x)]
-
-
-def M_value(p: Poset, x: Label) -> int:
-    """How many distinct up-set complements sit strictly below cu(x)."""
-    return _canonical_coordinates(p)[2][p.index(x)]
-
-
 def _reduced_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
     """``_canonical_coordinates`` of a reduced poset.
 
@@ -207,8 +147,9 @@ def canonical_embedding(p: Poset) -> Embedding:
     """Embed a reduced tame poset into the template of its tame rank.
 
     Maps x to its rechecked coordinate pair (m(x), M(x)).  The template has
-    width r = tame rank <= len(p), with no other limit; this is the one
-    place in the pipeline that builds it.
+    width r = tame rank <= len(p), with no other limit; ``embed --json`` is
+    the one CLI verb that builds it here (the sweep's searches and
+    ``RealizeResult.inflated`` build templates of their own).
     """
     rank, ms, Ms = _reduced_coordinates(p)
     mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}

@@ -22,27 +22,8 @@ from .errors import FormatError, InvalidMultiplicity, InvalidParameter
 from .poset import Label, Poset, _index_of, at_set_bits
 
 
-class OrderPair(NamedTuple):
-    """A template element (alpha, beta) with alpha <= beta, labeled "a,b"."""
-
-    alpha: int
-    beta: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.alpha},{self.beta}"
-
-    @classmethod
-    def parse(cls, label: str) -> "OrderPair":
-        try:
-            a, b = str(label).split(",")
-            return cls(int(a), int(b))
-        except ValueError:
-            raise FormatError(f"not an order pair label: {label!r}") from None
-
-
 class InflatedPoint(NamedTuple):
-    """A copy of a base element, labeled "<base>#<copy>"."""
+    """A copy of a base element, labeled "<base>#<copy>", copy in ASCII digits."""
 
     base: str
     copy: int
@@ -54,19 +35,22 @@ class InflatedPoint(NamedTuple):
     @classmethod
     def parse(cls, label: str) -> "InflatedPoint":
         base, _, copy = str(label).rpartition("#")
-        if not base or not copy.isdigit():
+        if not base or not (copy.isascii() and copy.isdigit()):
             raise FormatError(f"not an inflated point label: {label!r}")
         return cls(base, int(copy))
 
 
 def order_pair_label(alpha: int, beta: int) -> str:
-    """Label of the template element (alpha, beta)."""
-    return OrderPair(alpha, beta).label
+    """Label "a,b" of the template element (alpha, beta)."""
+    return f"{alpha},{beta}"
 
 
 def parse_order_pair(label: str) -> tuple[int, int]:
-    """Inverse of order_pair_label."""
-    return tuple(OrderPair.parse(label))
+    """Inverse of order_pair_label: "a,b" in ASCII digits, else FormatError."""
+    a, comma, b = str(label).partition(",")
+    if not (comma and (a + b).isascii() and a.isdigit() and b.isdigit()):
+        raise FormatError(f"not an order pair label: {label!r}")
+    return int(a), int(b)
 
 
 def _masks_above(values: list[int], cuts: list[int]) -> tuple[int, ...]:

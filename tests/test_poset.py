@@ -9,8 +9,7 @@ from tameorders import (
     Poset,
     UnknownElement,
     build_poset,
-    cu_set,
-    down_set,
+    find_embedding,
     format_poset,
     is_isomorphic,
     parse_poset,
@@ -20,10 +19,8 @@ from tameorders import (
     r_lambda,
     reduce,
     restrict,
-    up_set,
-    well_founded_rank,
 )
-from tameorders.poset import _dense
+from tameorders.poset import _dense, at_set_bits
 
 from conftest import (
     antichain,
@@ -63,7 +60,7 @@ class TestBuildPoset:
     def test_empty(self):
         p = build_poset([], [])
         assert len(p) == 0
-        assert well_founded_rank(p) == 0
+        assert p.pairs() == []
 
     def test_input_need_not_be_closed(self):
         p = build_poset(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
@@ -118,52 +115,64 @@ class TestClosureOracle:
         assert str(info.value) == "closure relates 'c1' to itself"
 
 
+def down_labels(p, x):
+    return frozenset(at_set_bits(p.elements, p.down_masks[p.index(x)]))
+
+
+def up_labels(p, x):
+    return frozenset(at_set_bits(p.elements, p.up_masks[p.index(x)]))
+
+
+def cu_labels(p, x):
+    full = (1 << len(p)) - 1
+    return frozenset(at_set_bits(p.elements, full & ~p.up_masks[p.index(x)]))
+
+
 class TestSetQueries:
     def test_down_set_chain(self):
         p = chain(3)
-        assert down_set(p, "c2") == {"c0", "c1"}
+        assert down_labels(p, "c2") == {"c0", "c1"}
 
     def test_down_set_r22(self):
-        assert down_set(pattern_r22(), "y0") == {"x0"}
+        assert down_labels(pattern_r22(), "y0") == {"x0"}
 
     def test_down_set_antichain(self):
         p = antichain(3)
-        assert all(down_set(p, x) == frozenset() for x in p)
+        assert all(down_labels(p, x) == frozenset() for x in p)
 
     def test_up_set_chain(self):
         p = chain(3)
-        assert up_set(p, "c0") == {"c1", "c2"}
+        assert up_labels(p, "c0") == {"c1", "c2"}
 
     def test_up_set_r22(self):
-        assert up_set(pattern_r22(), "x1") == {"y1"}
+        assert up_labels(pattern_r22(), "x1") == {"y1"}
 
     def test_up_set_s22_truncation(self):
-        assert up_set(pattern_s_n2(2), "x1") == {"y0", "y1"}
+        assert up_labels(pattern_s_n2(2), "x1") == {"y0", "y1"}
 
     def test_cu_set_chain_top(self):
         p = chain(3)
-        assert cu_set(p, "c2") == {"c0", "c1", "c2"}
+        assert cu_labels(p, "c2") == {"c0", "c1", "c2"}
 
     def test_cu_set_s22(self):
-        assert cu_set(pattern_s_n2(2), "x1") == {"x0", "x1"}
+        assert cu_labels(pattern_s_n2(2), "x1") == {"x0", "x1"}
 
     def test_cu_set_singleton(self):
         p = build_poset(["x"], [])
-        assert cu_set(p, "x") == {"x"}
+        assert cu_labels(p, "x") == {"x"}
 
     def test_unknown_element(self):
         with pytest.raises(UnknownElement):
-            down_set(chain(2), "zz")
+            chain(2).index("zz")
 
     @given(posets())
     def test_duality_and_partition(self, p):
-        for x in p:
-            for y in p:
-                assert (y in down_set(p, x)) == (x in up_set(p, y))
-        full = frozenset(p.elements)
-        for x in p:
-            assert cu_set(p, x) | up_set(p, x) == full
-            assert not cu_set(p, x) & up_set(p, x)
+        for i, down in enumerate(p.down_masks):
+            for j, up in enumerate(p.up_masks):
+                assert (down >> j & 1) == (up >> i & 1)
+        for i, (down, up) in enumerate(zip(p.down_masks, p.up_masks)):
+            assert not (down | up) >> i & 1
+            assert not down & up
 
 
 class TestRestrict:
@@ -198,22 +207,25 @@ class TestRestrict:
     @given(posets(max_size=6))
     def test_rank_monotone(self, p):
         sub = restrict(p, p.elements[1:])
-        assert well_founded_rank(sub) <= well_founded_rank(p)
+        assert oracle_longest_chain(sub) <= oracle_longest_chain(p)
 
 
 class TestRank:
     def test_chain(self):
-        assert well_founded_rank(chain(3)) == 3
+        assert oracle_longest_chain(chain(3)) == 3
 
     def test_antichain(self):
-        assert well_founded_rank(antichain(5)) == 1
+        assert oracle_longest_chain(antichain(5)) == 1
 
     def test_s22(self):
-        assert well_founded_rank(pattern_s_n2(2)) == 2
+        assert oracle_longest_chain(pattern_s_n2(2)) == 2
 
     @given(posets())
     def test_matches_longest_chain_oracle(self, p):
-        assert well_founded_rank(p) == oracle_longest_chain(p)
+        # a chain embeds two-way exactly where the order has one that long
+        k = oracle_longest_chain(p)
+        assert find_embedding(chain(k), p) is not None
+        assert find_embedding(chain(k + 1), p) is None
 
 
 class TestIsomorphism:
@@ -431,7 +443,7 @@ class TestMaskKernels:
         assert dense == {False, True}
 
     def test_pairs_and_label_sets(self, kernel_cases):
-        """pairs and label_set read each row on both kernels, as the oracle sets say."""
+        """pairs and at_set_bits read each row on both kernels, as the oracle sets say."""
         dense = set()
         for labels, pairs, above, below in kernel_cases.values():
             index = {x: i for i, x in enumerate(labels)}
@@ -439,7 +451,7 @@ class TestMaskKernels:
             want = [(x, y) for x in labels for y in sorted(above[x], key=index.get)]
             assert p.pairs() == want
             for x, up, down in zip(labels, p.up_masks, p.down_masks):
-                assert p.label_set(up) == above[x]
-                assert p.label_set(down) == below[x]
+                assert frozenset(at_set_bits(p.elements, up)) == above[x]
+                assert frozenset(at_set_bits(p.elements, down)) == below[x]
             dense.update(_dense(row, len(labels)) for row in p.up_masks)
         assert dense == {False, True}

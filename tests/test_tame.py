@@ -5,8 +5,8 @@ from hypothesis import given, settings
 
 from tameorders import (
     BudgetExceeded,
+    InflatedPoint,
     InternalInvariantViolation,
-    M_value,
     NotReduced,
     NotTame,
     TameReport,
@@ -14,34 +14,30 @@ from tameorders import (
     build_poset,
     canonical_embedding,
     check_claim_inequalities,
-    cu_family,
-    cu_set,
     d_comparable,
-    d_family,
     embeds_r22,
-    frak_d_family,
     is_isomorphic,
     is_reduced,
     is_tame,
-    m_value,
     minimal_rank_bruteforce,
     parse_order_pair,
     pattern_r22,
     pattern_s_n2,
     r_lambda,
+    realize,
     reduce,
     tame,
     tame_rank,
     u_comparable,
-    up_set,
     verify_embedding,
-    well_founded_rank,
 )
+from tameorders.poset import at_set_bits
 
 from conftest import (
     antichain,
     chain,
     oracle_coordinates,
+    oracle_longest_chain,
     oracle_zero_one_fishburn,
     posets,
 )
@@ -134,14 +130,14 @@ class TestReduce:
         assert len(result.quotient) == 2
         assert result.class_of["a"] == result.class_of["b"]
         assert result.class_of["c"] == result.class_of["d"]
+        def signature(x):
+            below = {z for z in p if p.less(z, x)}
+            return below, {z for z in p if p.less(x, z)}
+
         for x in p:
             for y in p:
                 same = result.class_of[x] == result.class_of[y]
-                sigs_equal = (
-                    up_set(p, x) == up_set(p, y)
-                    and cu_set(p, x) == cu_set(p, y)
-                )
-                assert same == sigs_equal
+                assert same == (signature(x) == signature(y))
 
     def test_check_catches_ill_defined_quotient(self, monkeypatch):
         # a quotient that drops every relation breaks the cross-pair recheck
@@ -153,7 +149,7 @@ class TestReduce:
     def test_representatives(self):
         result = reduce(antichain(3))
         assert result.representatives == ("a0",)
-        assert result.members(0) == ["a0", "a1", "a2"]
+        assert [x for x, c in result.class_of.items() if c == 0] == ["a0", "a1", "a2"]
 
     def test_reduced_input_is_its_own_quotient(self):
         for p in [chain(4), pattern_s_n2(3), pattern_r22(), antichain(1)]:
@@ -172,57 +168,52 @@ class TestReduce:
         assert twice == once
 
 
+def label_sets(p, masks):
+    return {frozenset(at_set_bits(p.elements, mask)) for mask in masks}
+
+
 class TestFamilies:
     def test_chain_families(self):
         p = chain(3)
-        assert [set(s) for s in d_family(p)] == [set(), {"c0"}, {"c0", "c1"}]
-        assert [set(s) for s in cu_family(p)] == [
-            {"c0"},
-            {"c0", "c1"},
-            {"c0", "c1", "c2"},
-        ]
-        assert d_family(p).linear and cu_family(p).linear
+        assert label_sets(p, p.down_masks) == {
+            frozenset(),
+            frozenset({"c0"}),
+            frozenset({"c0", "c1"}),
+        }
+        full = (1 << len(p)) - 1
+        assert label_sets(p, [full & ~m for m in p.up_masks]) == {
+            frozenset({"c0"}),
+            frozenset({"c0", "c1"}),
+            frozenset({"c0", "c1", "c2"}),
+        }
+        assert d_comparable(p) and u_comparable(p)
 
     def test_s22_down_family(self):
-        assert [set(s) for s in d_family(pattern_s_n2(2))] == [
-            set(),
-            {"x1"},
-            {"x0", "x1"},
-        ]
+        p = pattern_s_n2(2)
+        assert label_sets(p, p.down_masks) == {
+            frozenset(),
+            frozenset({"x1"}),
+            frozenset({"x0", "x1"}),
+        }
 
     def test_empty_poset(self):
         p = build_poset([], [])
-        assert len(d_family(p)) == 0
-        assert [set(s) for s in frak_d_family(p)] == [set()]
-        assert len(cu_family(p)) == 0
+        assert p.down_masks == p.up_masks == ()
+        assert d_comparable(p) and u_comparable(p)
 
     def test_pattern_families_not_linear(self):
-        assert not d_family(pattern_r22()).linear
-        assert not cu_family(pattern_r22()).linear
-
-    def test_completion_of_pattern_is_down_sets_plus_empty(self):
         p = pattern_r22()
-        completed = set(frak_d_family(p).sets)
-        assert completed == set(d_family(p).sets) | {frozenset()}
-        assert completed == {frozenset(), frozenset({"x0"}), frozenset({"x1"})}
-        assert not frak_d_family(p).linear
-
-    def test_completion_degenerates_when_pattern_free(self):
-        for n in range(1, 5):
-            for p in all_labeled_posets(n):
-                if embeds_r22(p) is None:
-                    completed = set(frak_d_family(p).sets)
-                    plain = set(d_family(p).sets)
-                    assert completed == plain | {frozenset()}
+        assert {frozenset({"x0"}), frozenset({"x1"})} <= label_sets(p, p.down_masks)
+        assert not d_comparable(p) and not u_comparable(p)
 
     @given(posets(max_size=6))
     @settings(max_examples=40)
     def test_cu_u_anti_isomorphism(self, p):
-        for x in p:
-            for y in p:
-                assert (up_set(p, x) >= up_set(p, y)) == (
-                    cu_set(p, x) <= cu_set(p, y)
-                )
+        full = (1 << len(p)) - 1
+        for up_x in p.up_masks:
+            for up_y in p.up_masks:
+                cu_x, cu_y = full & ~up_x, full & ~up_y
+                assert (not up_y & ~up_x) == (not cu_x & ~cu_y)
 
 
 class TestTameRank:
@@ -252,48 +243,54 @@ class TestTameRank:
         for n in range(5):
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is None:
-                    assert well_founded_rank(p) <= tame_rank(p) <= len(p)
+                    assert oracle_longest_chain(p) <= tame_rank(p) <= len(p)
+
+
+def realized_coordinates(p):
+    """{x: (m, M)} read off the template point each element is a copy of."""
+    result = realize(p)
+    return {
+        result.iso.mapping[w]: parse_order_pair(InflatedPoint.parse(w).base)
+        for w in result.w
+    }
 
 
 class TestCoordinateValues:
     def test_chain_middle(self):
-        p = chain(3)
-        assert (m_value(p, "c1"), M_value(p, "c1")) == (1, 1)
+        assert realized_coordinates(chain(3))["c1"] == (1, 1)
 
     def test_s22_y0(self):
-        p = pattern_s_n2(2)
-        assert (m_value(p, "y0"), M_value(p, "y0")) == (2, 2)
+        assert realized_coordinates(pattern_s_n2(2))["y0"] == (2, 2)
 
     def test_minimal_element(self):
-        p = chain(3)
-        assert (m_value(p, "c0"), M_value(p, "c0")) == (0, 0)
+        assert realized_coordinates(chain(3))["c0"] == (0, 0)
 
     def test_not_tame(self):
         with pytest.raises(NotTame):
-            m_value(pattern_r22(), "x0")
-        with pytest.raises(NotTame):
-            M_value(pattern_r22(), "x0")
+            realized_coordinates(pattern_r22())
 
     def test_match_definition_exhaustive_small(self):
+        tame_count = non_reduced = 0
         for n in range(6):
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is not None:
                     continue
+                tame_count += 1
                 expected = oracle_coordinates(p)
-                for x in p:
-                    assert (m_value(p, x), M_value(p, x)) == expected[x]
-                if is_reduced(p):
-                    emb = canonical_embedding(p)
-                    assert {
-                        x: parse_order_pair(y) for x, y in emb.mapping.items()
-                    } == expected
+                assert realized_coordinates(p) == expected
+                if not is_reduced(p):
+                    non_reduced += 1
+                    continue
+                assert is_tame(p).coordinates == expected
+                emb = canonical_embedding(p)
+                assert {
+                    x: parse_order_pair(y) for x, y in emb.mapping.items()
+                } == expected
+        assert (tame_count, non_reduced) == (3682, 1626)
 
     def test_template_coordinates_identity(self):
         p = r_lambda(4)
-        for label in p.elements:
-            a, b = parse_order_pair(label)
-            assert m_value(p, label) == a
-            assert M_value(p, label) == b
+        assert realized_coordinates(p) == {x: parse_order_pair(x) for x in p}
 
 
 class TestCanonicalEmbedding:

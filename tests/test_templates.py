@@ -117,12 +117,14 @@ class TestRLambda:
         assert parse_order_pair(order_pair_label(3, 7)) == (3, 7)
 
     def test_pair_type(self):
-        from tameorders import FormatError, OrderPair
+        from tameorders import FormatError
 
-        pair = OrderPair.parse("2,5")
-        assert pair.alpha == 2 and pair.beta == 5 and pair.label == "2,5"
-        with pytest.raises(FormatError):
-            OrderPair.parse("nope")
+        assert parse_order_pair("2,5") == (2, 5) and order_pair_label(2, 5) == "2,5"
+        # only the ASCII digits order_pair_label writes; int() would take the rest
+        bad = ["nope", "1,2,3", "1,", ",2", "1_0,2", " 1,2", "1,2 ", "+1,2", "-1,2"]
+        for label in bad + ["1,²", "١,٢"]:
+            with pytest.raises(FormatError, match="not an order pair label"):
+                parse_order_pair(label)
 
 
 class TestInflate:
@@ -167,7 +169,7 @@ class TestInflate:
     def test_bad_point_label(self):
         from tameorders import FormatError, InflatedPoint
 
-        for label in ["x", "#1", "x#", "x#a"]:
+        for label in ["x", "#1", "x#", "x#a", "x#²", "x#٣", "x#+1", "x# 1"]:
             with pytest.raises(FormatError, match="not an inflated point label"):
                 InflatedPoint.parse(label)
 
