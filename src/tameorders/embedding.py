@@ -7,8 +7,8 @@ pi(x) < pi(y), so both comparability and incomparability are preserved.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -19,8 +19,7 @@ from .errors import (
 from .poset import Label, Poset, build_poset, is_chain, iter_bits
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """An injective map between posets plus its verification status.
 
     ``verified`` is set only after the two-way preservation check has

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import tame
 from .embedding import embeds_r22, find_embedding
@@ -25,19 +25,23 @@ from .textfmt import poset_json
 ENUMERATION_CAP = 6
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Seeded random-poset parameters."""
-
+class _GeneratorFields(NamedTuple):
     n: int
     edge_probability: float
     seed: int
 
-    def __post_init__(self):
-        if self.n < 0:
+
+class GeneratorConfig(_GeneratorFields):
+    """Seeded random-poset parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, edge_probability, seed):
+        if n < 0:
             raise InvalidParameter("element count must be nonnegative")
-        if not 0.0 <= self.edge_probability <= 1.0:
+        if not 0.0 <= edge_probability <= 1.0:
             raise InvalidParameter("edge probability must lie in [0, 1]")
+        return super().__new__(cls, n, edge_probability, seed)
 
 
 def all_labeled_posets(n: int) -> Iterator[Poset]:
@@ -117,26 +121,20 @@ def random_poset(cfg: GeneratorConfig) -> Poset:
     return build_poset(labels, pairs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Counts and counterexamples from a verification sweep."""
 
     n: int
     total: int
     tame_count: int
-    counterexamples: tuple[dict, ...] = field(default=())
+    counterexamples: tuple[dict, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "total": self.total,
-            "tame_count": self.tame_count,
-            "counterexamples": list(self.counterexamples),
-        }
+        return {**self._asdict(), "counterexamples": list(self.counterexamples)}
 
 
 def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:

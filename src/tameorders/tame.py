@@ -7,7 +7,7 @@ which every report in this module takes for granted and documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embedding import Embedding, embeds_r22, find_embedding
 from .errors import InternalInvariantViolation, NotReduced, NotTame
@@ -30,8 +30,7 @@ def is_reduced(p: Poset) -> bool:
     return len(set(zip(p.down_masks, p.up_masks))) == len(p)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Quotient by the same-(d, u)-signature equivalence.
 
     The quotient's elements are the class representatives (least index per
@@ -194,8 +193,14 @@ def check_claim_inequalities(p: Poset) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
-class TameReport:
+class _TameFields(NamedTuple):
+    tame: bool
+    witness: tuple[Label, Label, Label, Label] | None = None
+    tame_rank: int | None = None
+    coordinates: dict[Label, tuple[int, int]] | None = None
+
+
+class TameReport(_TameFields):
     """Verdict of a tameness check.
 
     Exactly one of ``witness`` (quadruple from the forbidden pattern) and
@@ -204,14 +209,12 @@ class TameReport:
     infinite forbidden pattern cannot embed into a finite order.
     """
 
-    tame: bool
-    witness: tuple[Label, Label, Label, Label] | None = None
-    tame_rank: int | None = None
-    coordinates: dict[Label, tuple[int, int]] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.witness is None) == (self.tame_rank is None):
+    def __new__(cls, tame, witness=None, tame_rank=None, coordinates=None):
+        if (witness is None) == (tame_rank is None):
             raise ValueError("exactly one of witness/tame_rank must be present")
+        return super().__new__(cls, tame, witness, tame_rank, coordinates)
 
     def to_json(self) -> dict:
         out: dict = {"tame": self.tame}

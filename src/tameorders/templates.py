@@ -4,26 +4,29 @@ The template of width ``lam`` lives on the pairs (a, b) with a <= b < lam,
 ordered by (a, b) < (a2, b2) iff b < a2.  Every tame finite order arises,
 up to isomorphism, as a restriction of an inflated template.  The
 coordinates (m(x), M(x)) alone decide that restriction, so ``realize``
-builds no template; ``RealizeResult.inflated`` builds one on demand.
+builds no template; ``RealizeResult.inflated`` builds one on each access.
 Every order read off coordinates, x < y iff M(x) < m(y), takes its masks
 from ``_masks_above``, and so does the canonical-coordinate recheck.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .embedding import Embedding
 from .errors import FormatError, InvalidMultiplicity, InvalidParameter
 from .poset import Label, Poset, _index_of, at_set_bits
 
+# A nonnegative int as str() writes it: ASCII digits, and no leading zero.
+_NUMERAL = re.compile(r"0|[1-9][0-9]*")
+
 
 class InflatedPoint(NamedTuple):
-    """A copy of a base element, labeled "<base>#<copy>", copy in ASCII digits."""
+    """A copy of a base element, labeled "<base>#<copy>" with copy as str(copy)."""
 
     base: str
     copy: int
@@ -35,7 +38,7 @@ class InflatedPoint(NamedTuple):
     @classmethod
     def parse(cls, label: str) -> "InflatedPoint":
         base, _, copy = str(label).rpartition("#")
-        if not base or not (copy.isascii() and copy.isdigit()):
+        if not base or not _NUMERAL.fullmatch(copy):
             raise FormatError(f"not an inflated point label: {label!r}")
         return cls(base, int(copy))
 
@@ -46,9 +49,9 @@ def order_pair_label(alpha: int, beta: int) -> str:
 
 
 def parse_order_pair(label: str) -> tuple[int, int]:
-    """Inverse of order_pair_label: "a,b" in ASCII digits, else FormatError."""
+    """Inverse of order_pair_label: "a,b" as it writes it, else FormatError."""
     a, comma, b = str(label).partition(",")
-    if not (comma and (a + b).isascii() and a.isdigit() and b.isdigit()):
+    if not (comma and _NUMERAL.fullmatch(a) and _NUMERAL.fullmatch(b)):
         raise FormatError(f"not an order pair label: {label!r}")
     return int(a), int(b)
 
@@ -160,12 +163,11 @@ def cummings_blocks(o: int) -> Poset:
     )
 
 
-@dataclass(frozen=True)
-class RealizeResult:
+class RealizeResult(NamedTuple):
     """Outcome of the realization pipeline.
 
     ``w`` names the selected copies of the template of width ``rank``,
-    inflated as ``inflated`` (built on first access); ``iso`` is the
+    inflated as ``inflated`` (built on each access); ``iso`` is the
     verified isomorphism from the restriction onto the original input.
     """
 
@@ -173,7 +175,7 @@ class RealizeResult:
     iso: Embedding
     rank: int
 
-    @cached_property
+    @property
     def inflated(self) -> Poset:
         multiplicity = Counter(InflatedPoint.parse(x).base for x in self.w)
         return inflate(r_lambda(self.rank), multiplicity)[0]

@@ -4,7 +4,9 @@ A file holds one ``elements:`` line with whitespace-separated identifiers,
 then zero or more ``rel: A B`` lines meaning A < B.  Lines beginning with
 ``#`` and blank lines are ignored; the relation is closed transitively on
 parse.  Serialization writes the full closed relation, so a round trip
-reproduces the poset with identical labels.
+reproduces the poset with its labels as strings.  The writers refuse, with
+FormatError, a label whose ``str`` is not one whitespace-free token and two
+labels with the same ``str``, since the reader would refuse the file.
 
 Both writers, the text format and the JSON text of :func:`poset_json_text`,
 emit the relation one up-mask row at a time: each id is encoded once and a
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 from .errors import FormatError
-from .poset import Label, Poset, _close, at_set_bits, build_poset
+from .poset import Poset, _close, at_set_bits, build_poset
 
 # The layout format_poset writes: single spaces and "\n" line ends.  An id
 # is a run of non-isspace characters, so no other str.splitlines boundary
@@ -29,16 +32,25 @@ _REL_LINES = re.compile(r"(?:rel: \S+ \S+\n)*")
 _CHUNK = 1 << 16
 
 
-def _id_of(label: Label) -> str:
-    text = str(label)
-    if text.split() != [text]:
-        raise FormatError(f"label {label!r} is not a printable identifier")
-    return text
+def _ids(p: Poset) -> list[str]:
+    """The elements' ids, ``str`` of each label, in index order.
+
+    FormatError names a label whose id is not one whitespace-free token, or
+    an id that two labels print as (1 and "1"): the reader refuses both.
+    """
+    ids = [str(x) for x in p.elements]
+    for x, text in zip(p.elements, ids):
+        if text.split() != [text]:
+            raise FormatError(f"label {x!r} is not a printable identifier")
+    if len(set(ids)) < len(ids):
+        repeated = next(x for x, k in Counter(ids).items() if k > 1)
+        raise FormatError(f"two elements print as the id {repeated!r}")
+    return ids
 
 
 def format_poset(p: Poset) -> str:
     """Serialize to the text format (full closed relation, index order)."""
-    ids = [_id_of(x) for x in p.elements]
+    ids = _ids(p)
     lines = ["elements: " + " ".join(ids)]
     for x, mask in zip(ids, p.up_masks):
         if mask:
@@ -108,7 +120,7 @@ def _parse_lines(text: str) -> Poset:
 
 def poset_json(p: Poset) -> dict:
     """JSON-ready object {elements, relations} mirroring the text format."""
-    ids = [_id_of(x) for x in p.elements]
+    ids = _ids(p)
     relations = []
     for x, mask in zip(ids, p.up_masks):
         relations.extend([x, y] for y in at_set_bits(ids, mask))
@@ -117,7 +129,7 @@ def poset_json(p: Poset) -> dict:
 
 def poset_json_text(p: Poset) -> str:
     """``json.dumps(poset_json(p), sort_keys=True)``, written a row at a time."""
-    enc = [json.dumps(_id_of(x)) for x in p.elements]
+    enc = [json.dumps(x) for x in _ids(p)]
     rows = [
         "[" + x + ", " + ("], [" + x + ", ").join(at_set_bits(enc, mask)) + "]"
         for x, mask in zip(enc, p.up_masks)

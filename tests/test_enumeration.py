@@ -114,6 +114,8 @@ class TestRandomPoset:
             GeneratorConfig(-1, 0.5, 0)
         with pytest.raises(InvalidParameter):
             GeneratorConfig(3, 1.5, 0)
+        with pytest.raises(InvalidParameter):
+            GeneratorConfig(n=3, edge_probability=-0.1, seed=0)
 
 
 class TestVerifyProposition:

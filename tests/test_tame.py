@@ -104,6 +104,9 @@ class TestIsTame:
             TameReport(tame=True)
         with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
             TameReport(tame=False, witness=("a", "b", "c", "d"), tame_rank=1)
+        with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
+            TameReport(True, None, None)
+        assert TameReport(True, None, 1) == TameReport(tame=True, tame_rank=1)
 
     def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
         with pytest.raises(InternalInvariantViolation):

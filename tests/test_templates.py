@@ -120,9 +120,12 @@ class TestRLambda:
         from tameorders import FormatError
 
         assert parse_order_pair("2,5") == (2, 5) and order_pair_label(2, 5) == "2,5"
+        assert parse_order_pair("0,0") == (0, 0)
+        assert parse_order_pair("10,20") == (10, 20)
         # only the ASCII digits order_pair_label writes; int() would take the rest
         bad = ["nope", "1,2,3", "1,", ",2", "1_0,2", " 1,2", "1,2 ", "+1,2", "-1,2"]
-        for label in bad + ["1,²", "١,٢"]:
+        # a leading zero would not round-trip: "01,2" would read as "1,2"
+        for label in bad + ["1,²", "١,٢", "01,2", "1,02", "00,1"]:
             with pytest.raises(FormatError, match="not an order pair label"):
                 parse_order_pair(label)
 
@@ -169,9 +172,12 @@ class TestInflate:
     def test_bad_point_label(self):
         from tameorders import FormatError, InflatedPoint
 
-        for label in ["x", "#1", "x#", "x#a", "x#²", "x#٣", "x#+1", "x# 1"]:
+        bad = ["x", "#1", "x#", "x#a", "x#²", "x#٣", "x#+1", "x# 1", "x#01", "x#00"]
+        for label in bad:
             with pytest.raises(FormatError, match="not an inflated point label"):
                 InflatedPoint.parse(label)
+        for label in ["x#0", "x#10", "a#b#7"]:
+            assert InflatedPoint.parse(label).label == label
 
     def test_reduction_commutes(self):
         for base in (chain(3), r_lambda(2), antichain(2)):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tameorders import (
     CycleDetected,
+    DuplicateElement,
     FormatError,
     Poset,
     PosetError,
@@ -124,6 +125,25 @@ def test_unprintable_label_rejected(emit, elements, up_masks, bad):
     with pytest.raises(FormatError) as info:
         emit(Poset(elements, up_masks))
     assert str(info.value) == f"label {bad!r} is not a printable identifier"
+
+
+@pytest.mark.parametrize("emit", [format_poset, poset_json, poset_json_text])
+@pytest.mark.parametrize(
+    "elements, pairs, repeated",
+    [
+        ([1, "1"], [], "1"),
+        (["a", 2, "b", "2"], [("a", "b"), (2, "b")], "2"),
+        ([("a",), "b", "('a',)"], [("b", "('a',)")], "('a',)"),
+    ],
+)
+def test_labels_printing_one_id_rejected(emit, elements, pairs, repeated):
+    # the reader refuses a file that lists an id twice, so no writer emits one
+    p = build_poset(elements, pairs)
+    with pytest.raises(DuplicateElement):
+        parse_poset("elements: " + " ".join(map(str, elements)) + "\n")
+    with pytest.raises(FormatError) as info:
+        emit(p)
+    assert str(info.value) == f"two elements print as the id {repeated!r}"
 
 
 # ids JSON must escape or sort apart from index order: quote, backslash,

@@ -1,15 +1,33 @@
 """The test settings and the package surface.
 
 A failing test is reported, not fatal; the public names are exactly the
-listed ones; no module imports a name it never uses.
+listed ones; the public records are read-only tuples of their fields; no
+module imports a name it never uses, and importing the CLI loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import tameorders
+from tameorders import (
+    Embedding,
+    GeneratorConfig,
+    InflatedPoint,
+    VerificationReport,
+    build_poset,
+    inflate,
+    is_tame,
+    pattern_s_n2,
+    r_lambda,
+    realize,
+    reduce,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -107,6 +125,60 @@ def test_public_surface_is_the_listed_names():
     assert names == sorted(names) and len(set(names)) == len(names)
     assert names == PUBLIC
     assert all(hasattr(tameorders, name) for name in names)
+
+
+def test_every_record_is_a_read_only_tuple_of_its_fields():
+    p = pattern_s_n2(2)
+    records = [
+        (Embedding(p, p, {}), ("source", "target", "mapping", "verified")),
+        (reduce(p), ("quotient", "class_of", "representatives")),
+        (is_tame(p), ("tame", "witness", "tame_rank", "coordinates")),
+        (GeneratorConfig(3, 0.5, 1), ("n", "edge_probability", "seed")),
+        (VerificationReport(3, 0, 0), ("n", "total", "tame_count", "counterexamples")),
+        (realize(p), ("w", "iso", "rank")),
+    ]
+    for record, fields in records:
+        name = type(record).__name__
+        assert tuple(record) == tuple(getattr(record, f) for f in fields), name
+        for field in fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+
+def test_record_defaults():
+    # the validating constructors are pinned in test_tame and test_enumeration
+    p = pattern_s_n2(2)
+    assert Embedding(p, p, {}).verified is False
+    assert VerificationReport(3, 0, 0).counterexamples == ()
+
+
+def test_realize_inflated_is_the_template_inflated_by_class_sizes():
+    # a and b share a class, so their point of the template gets two copies
+    ab_below_c = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    for p in (ab_below_c, pattern_s_n2(3), r_lambda(3)):
+        result = realize(p)
+        multiplicity = Counter(InflatedPoint.parse(x).base for x in result.w)
+        assert result.inflated == inflate(r_lambda(result.rank), multiplicity)[0]
+
+
+# Modules the CLI's import adds to those the interpreter started with, so
+# that whatever a site hook loads at start-up does not count.
+IMPORT_ADDS = (
+    "import sys; start = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+    "import tameorders.cli; print(*sorted(set(sys.modules) - start))"
+)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each CLI run is a fresh process; these two alone once took about half
+    # of its import time
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_ADDS, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    added = set(run.stdout.split())
+    assert "tameorders.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
 
 
 def unused_imports(source: str) -> list[str]:
