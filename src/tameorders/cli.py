@@ -150,6 +150,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise InvalidParameter(f"node budget must be nonnegative, got {args.budget}")
     if args.seed is not None and args.samples is None:
         args.parser.error("argument --seed: requires --samples")
     if args.samples is not None:
@@ -207,6 +209,10 @@ def _file_args(p: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--budget", type=int, default=None, metavar="NODES",
+        help="cap embedding-search nodes (exceeding exits 2)",
+    )
     p.add_argument("--samples", type=int, default=None, metavar="K")
     p.add_argument(
         "--seed", type=int, default=None, metavar="S",
@@ -254,13 +260,6 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         p.add_argument(
             "--json", action="store_true", help="emit one JSON document on stdout"
         )
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            metavar="NODES",
-            help="cap embedding-search nodes (exceeding exits 2)",
-        )
         add_args(p)
         p.set_defaults(run=run)
     return parser
@@ -271,8 +270,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        if args.budget is not None and args.budget < 0:
-            raise InvalidParameter(f"node budget must be nonnegative, got {args.budget}")
         return args.run(args)
     except NotTame as exc:
         witness = [str(x) for x in exc.witness]

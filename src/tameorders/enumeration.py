@@ -43,6 +43,11 @@ class GeneratorConfig(_GeneratorFields):
             raise InvalidParameter("edge probability must lie in [0, 1]")
         return super().__new__(cls, n, edge_probability, seed)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
+
 
 def all_labeled_posets(n: int) -> Iterator[Poset]:
     """Every labeled strict partial order on elements "0".."n-1", once each.
@@ -145,11 +150,12 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     "comparability" (up/down comparability characterizes pattern freeness);
     on tame inputs "rank-invariance" under ``reduce(check=True)``,
     "embed-tame" into the template of the rank, "minimality" (a reduced
-    input of rank r >= 1 embeds into no width r - 1, so r is minimal) and
-    "claim-inequalities"; on non-tame inputs "embed-nontame" (no template),
-    a search that places the scan's witness quadruple first, since no
-    template hosts that copy of the pattern.  Every search is bounded by
-    ``budget``.
+    input of rank r >= 1 embeds into no width r - 1, so r is minimal) and,
+    if unreduced, "claim-inequalities" (a reduced p is its own quotient,
+    whose recheck is the same mask test); on non-tame inputs "embed-nontame"
+    (no template), a search that places the scan's witness quadruple first,
+    since no template hosts that copy of the pattern.  Every search is
+    bounded by ``budget``.
     """
     failures: list[dict] = []
 
@@ -167,18 +173,18 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     if tame_here:
         rank = tame._rank(p)
         quotient = tame.reduce(p, check=True).quotient
-        quotient_rank = tame._rank(quotient)
+        # raises unless the quotient's coordinates pass their recheck
+        quotient_rank = tame._reduced_coordinates(quotient)[0]
         if quotient_rank != rank:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
-        tame._reduced_coordinates(quotient)  # raises unless its recheck passes
         if find_embedding(quotient, r_lambda(rank), budget=budget) is None:
             fail("embed-tame", f"no brute-force embedding into width {rank}")
-        # reduce keeps one representative per distinct signature
-        if rank and len(quotient) == len(p):
-            if find_embedding(p, r_lambda(rank - 1), budget=budget) is not None:
-                fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
-        if not tame.check_claim_inequalities(p):
-            fail("claim-inequalities", "coordinate inequality violated")
+        # reduce returns p itself when p is reduced: the recheck tested its claim
+        if len(quotient) < len(p):
+            if not tame.check_claim_inequalities(p):
+                fail("claim-inequalities", "coordinate inequality violated")
+        elif rank and find_embedding(p, r_lambda(rank - 1), budget=budget) is not None:
+            fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
     else:
         first = [p.index(x) for x in witness]
         if find_embedding(p, r_lambda(len(p)), budget=budget, _first=first) is not None:

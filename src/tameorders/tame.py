@@ -177,17 +177,13 @@ def check_claim_inequalities(p: Poset) -> bool:
 
     Checks m(x) <= M(x) for every x, M(x) < m(y) whenever x < y, and
     m(y) <= M(x) whenever x is not below y (including incomparable pairs
-    and y < x, exactly as quantified).  Passing inequalities make p an
-    interval order, hence tame, so the pattern scan runs only after one
-    fails: NotTame (with the witness) on non-tame input, else False.
+    and y < x, exactly as quantified): the recheck's mask test, up masks
+    equal to ``_masks_above(m, M)``, with m(x) <= M(x) as its diagonal.
+    Passing inequalities make p an interval order, hence tame, so the
+    pattern scan runs only after one fails: NotTame (with the witness) on
+    non-tame input, else False.
     """
-    ms, Ms = _coordinates(p)
-    n = len(p)
-    ok = all(
-        Ms[i] < ms[j] if p.up_masks[i] >> j & 1 else ms[j] <= Ms[i]
-        for i in range(n)
-        for j in range(n)
-    )
+    ok = p.up_masks == _masks_above(*_coordinates(p))
     if not ok:
         _require_tame(p)
     return ok
@@ -215,6 +211,11 @@ class TameReport(_TameFields):
         if (witness is None) == (tame_rank is None):
             raise ValueError("exactly one of witness/tame_rank must be present")
         return super().__new__(cls, tame, witness, tame_rank, coordinates)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         out: dict = {"tame": self.tame}

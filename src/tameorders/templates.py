@@ -5,8 +5,8 @@ ordered by (a, b) < (a2, b2) iff b < a2.  Every tame finite order arises,
 up to isomorphism, as a restriction of an inflated template.  The
 coordinates (m(x), M(x)) alone decide that restriction, so ``realize``
 builds no template; ``RealizeResult.inflated`` builds one on each access.
-Every order read off coordinates, x < y iff M(x) < m(y), takes its masks
-from ``_masks_above``, and so does the canonical-coordinate recheck.
+Every order read off coordinates, x < y iff M(x) < m(y), the templates and
+``realize``'s restriction alike, is built by the one ``_interval_order``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def _masks_above(values: list[int], cuts: list[int]) -> tuple[int, ...]:
 
     Each is an entry of a running OR over the distinct values, highest
     first, found by ``bisect_right``.  The order x < y iff M(x) < m(y) has up
-    masks ``_masks_above(ms, Ms)`` and down masks ``_masks_above(-Ms, -ms)``.
+    masks ``_masks_above(ms, Ms)``, which the canonical-coordinate recheck
+    compares, and down masks ``_masks_above(-Ms, -ms)``.
     """
     by_value: dict[int, int] = {}
     for i, v in enumerate(values):
@@ -71,6 +72,13 @@ def _masks_above(values: list[int], cuts: list[int]) -> tuple[int, ...]:
     for k in range(len(distinct) - 1, -1, -1):
         above[k] = above[k + 1] | by_value[distinct[k]]
     return tuple(above[bisect_right(distinct, c)] for c in cuts)
+
+
+def _interval_order(elements: tuple[str, ...], lo: list[int], hi: list[int]) -> Poset:
+    """The order on ``elements`` with x < y iff hi[x] < lo[y], by index."""
+    ups = _masks_above(lo, hi)
+    downs = _masks_above([-h for h in hi], [-m for m in lo])
+    return Poset._trusted(elements, ups, downs, _index_of(elements))
 
 
 @lru_cache(maxsize=128)
@@ -86,11 +94,8 @@ def r_lambda(lam: int) -> Poset:
     if lam < 0:
         raise InvalidParameter("template width must be nonnegative")
     pairs = [(a, b) for a in range(lam) for b in range(a, lam)]
-    alphas, betas = [a for a, _ in pairs], [b for _, b in pairs]
     elements = tuple(order_pair_label(a, b) for a, b in pairs)
-    ups = _masks_above(alphas, betas)
-    downs = _masks_above([-b for b in betas], [-a for a in alphas])
-    return Poset._trusted(elements, ups, downs, {x: i for i, x in enumerate(elements)})
+    return _interval_order(elements, [a for a, _ in pairs], [b for _, b in pairs])
 
 
 def inflate(
@@ -190,7 +195,7 @@ def realize(s: Poset) -> RealizeResult:
     Element x becomes a copy of the point (m(x), M(x)), so every class
     inflates its point to the class size.  ``w`` lists the copies in
     (m, M, element index) order, their order in the inflated template; they
-    relate as their points do, with both mask sides from ``_masks_above``.
+    relate as their points do, built by ``_interval_order``.
     The coordinates' recheck verifies ``iso``.  Raises NotTame (with
     witness) on non-tame input.  Only the order-theoretic restriction step
     is modeled: picking the points out of a larger ambient structure adds
@@ -205,11 +210,7 @@ def realize(s: Poset) -> RealizeResult:
         labels.append(InflatedPoint(order_pair_label(*point), copies[point]).label)
         copies[point] += 1
     order = sorted(range(len(s)), key=lambda i: (ms[i], Ms[i], i))
-    low, high = [ms[i] for i in order], [Ms[i] for i in order]
     elements = tuple(labels[i] for i in order)
-    ups = _masks_above(low, high)
-    downs = _masks_above([-big for big in high], [-m for m in low])
-    index = {x: k for k, x in enumerate(elements)}
-    source = Poset._trusted(elements, ups, downs, index)
+    source = _interval_order(elements, [ms[i] for i in order], [Ms[i] for i in order])
     iso = Embedding(source, s, dict(zip(labels, s.elements)), verified=True)
     return RealizeResult(source.elements, iso, rank)

@@ -116,6 +116,20 @@ def oracle_coordinates(p: Poset) -> dict:
     }
 
 
+def oracle_claim_inequalities(p: Poset, ms: list[int], Ms: list[int]) -> bool:
+    """The coordinate inequalities pair by pair, indexed like ``p.elements``.
+
+    For every ordered pair (x, y), x = y included: M(x) < m(y) if x < y,
+    else m(y) <= M(x); at x = y the second reads m(x) <= M(x).
+    """
+    elements = p.elements
+    return all(
+        Ms[i] < ms[j] if p.less(x, y) else ms[j] <= Ms[i]
+        for i, x in enumerate(elements)
+        for j, y in enumerate(elements)
+    )
+
+
 def oracle_closure(elements, pairs) -> set[tuple]:
     """Every (x, y) with a nonempty path x -> y along the raw pairs, by DFS.
 

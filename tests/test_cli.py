@@ -801,19 +801,27 @@ class TestParserPerVerb:
         assert choices(cli._build_parser("bogus")) == list(VERBS)
 
     def test_negative_budget_rejected_by_every_verb(self, corpus_files):
+        # verify, the one verb that searches, refuses a negative budget as an
+        # invalid parameter; the others take no --budget at all
         message = "node budget must be nonnegative, got -1"
+        argv = ["verify", "--n", "3", "--budget", "-1"]
+        code, out, err = outcome([*argv, "--json"])
+        assert code == 1
+        assert json.loads(out) == {"error": "invalid-parameter", "message": message}
+        assert err == message + "\n"
+        assert outcome(argv) == (1, "", message + "\n")
         for verb, rest in {
             **{verb: [corpus_files["FILE"]] for verb in FILE_VERBS},
-            "verify": ["--n", "3"],
             "gen": ["--r22"],
         }.items():
-            code, out, err = outcome([verb, *rest, "--budget", "-1", "--json"])
-            assert code == 1, verb
-            assert json.loads(out) == {"error": "invalid-parameter", "message": message}
-            assert err == message + "\n"
-            assert outcome([verb, *rest, "--budget", "-1"]) == (1, "", message + "\n")
-            if verb != "verify":
-                assert outcome([verb, *rest, "--budget", "0"])[0] == 0, verb
+            for budget in ("-1", "0"):
+                for flags in ([], ["--json"]):
+                    code, out, err = outcome([verb, *rest, *flags, "--budget", budget])
+                    assert (code, out) == (("exit", 1), ""), verb
+                    assert err.startswith("usage: tameorders "), verb
+                    assert err.endswith(
+                        f"error: unrecognized arguments: --budget {budget}\n"
+                    ), verb
 
 
 def test_module_entry_point_reads_sys_argv(corpus_files):

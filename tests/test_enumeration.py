@@ -117,6 +117,14 @@ class TestRandomPoset:
         with pytest.raises(InvalidParameter):
             GeneratorConfig(n=3, edge_probability=-0.1, seed=0)
 
+    def test_namedtuple_helpers_validate(self):
+        with pytest.raises(InvalidParameter):
+            GeneratorConfig._make([-1, 0.5, 0])
+        with pytest.raises(InvalidParameter):
+            GeneratorConfig(3, 0.5, 0)._replace(edge_probability=2.0)
+        changed = GeneratorConfig(3, 0.5, 0)._replace(seed=7)
+        assert type(changed) is GeneratorConfig and changed == (3, 0.5, 7)
+
 
 class TestVerifyProposition:
     def test_tiny_sizes(self):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from tameorders.poset import at_set_bits
 from conftest import (
     antichain,
     chain,
+    oracle_claim_inequalities,
     oracle_coordinates,
     oracle_longest_chain,
     oracle_zero_one_fishburn,
@@ -107,6 +109,15 @@ class TestIsTame:
         with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
             TameReport(True, None, None)
         assert TameReport(True, None, 1) == TameReport(tame=True, tame_rank=1)
+
+    def test_namedtuple_helpers_validate(self):
+        report = is_tame(build_poset(["a", "b"], [("a", "b")]))
+        with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
+            report._replace(tame_rank=None)
+        with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
+            TameReport._make([True, None, None, None])
+        plain = report._replace(coordinates=None)
+        assert type(plain) is TameReport and plain == (True, None, 2, None)
 
     def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
         with pytest.raises(InternalInvariantViolation):
@@ -425,6 +436,35 @@ class TestClaimInequalities:
                     with pytest.raises(NotTame):
                         check_claim_inequalities(p)
         assert five_point == 780
+
+    def test_agrees_with_pairwise_oracle_under_unit_shifts(self, monkeypatch):
+        # the true coordinates, then each one m or M moved by -1 or +1
+        real = tame._coordinates
+        refuted = Counter()
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                ms, Ms = real(p)
+                variants = [(ms, Ms)]
+                for i in range(n):
+                    for step in (-1, 1):
+                        moved = [*ms[:i], ms[i] + step, *ms[i + 1:]]
+                        variants.append((moved, Ms))
+                        moved = [*Ms[:i], Ms[i] + step, *Ms[i + 1:]]
+                        variants.append((ms, moved))
+                tame_here = embeds_r22(p) is None
+                for coords in variants:
+                    monkeypatch.setattr(
+                        tame, "_coordinates", lambda q, c=coords: (c[0][:], c[1][:])
+                    )
+                    expected = oracle_claim_inequalities(p, *coords)
+                    refuted[tame_here] += not expected
+                    if expected or tame_here:
+                        assert check_claim_inequalities(p) is expected
+                    else:
+                        with pytest.raises(NotTame):
+                            check_claim_inequalities(p)
+        # every variant of the 12 non-tame posets on 4 points is refuted
+        assert refuted == {True: 2762, False: 204}
 
 
 def test_reduced_tame_embedding_verifies_exhaustively_small():

@@ -1,11 +1,12 @@
 """The test settings and the package surface.
 
 A failing test is reported, not fatal; the public names are exactly the
-listed ones; the public records are read-only tuples of their fields; no
-module imports a name it never uses, and importing the CLI loads neither
-``dataclasses`` nor ``inspect``.
+listed ones, and so are each CLI verb's options; the public records are
+read-only tuples of their fields; no module imports a name it never uses,
+and importing the CLI loads neither ``dataclasses`` nor ``inspect``.
 """
 
+import argparse
 import ast
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from tameorders import (
     InflatedPoint,
     VerificationReport,
     build_poset,
+    cli,
     inflate,
     is_tame,
     pattern_s_n2,
@@ -125,6 +127,33 @@ def test_public_surface_is_the_listed_names():
     assert names == sorted(names) and len(set(names)) == len(names)
     assert names == PUBLIC
     assert all(hasattr(tameorders, name) for name in names)
+
+
+EVERY_VERB = ["-h", "--help", "--json"]
+
+# every verb's options, in declaration order; a new or moved flag edits this
+VERB_OPTIONS = {
+    "check": EVERY_VERB,
+    "rank": EVERY_VERB,
+    "embed": EVERY_VERB,
+    "reduce": EVERY_VERB,
+    "realize": EVERY_VERB,
+    "verify": [*EVERY_VERB, "--n", "--budget", "--samples", "--seed"],
+    "gen": [*EVERY_VERB, "--r-lambda", "--s-n2", "--r22", "--cummings", "--random"],
+}
+
+
+def test_each_verb_takes_exactly_the_listed_options():
+    options = {}
+    for verb in cli._VERBS:
+        parser = cli._build_parser(verb)
+        (sub,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        actions = sub.choices[verb]._actions
+        options[verb] = [flag for action in actions for flag in action.option_strings]
+    assert options == VERB_OPTIONS
 
 
 def test_every_record_is_a_read_only_tuple_of_its_fields():
