@@ -16,7 +16,6 @@ from .embedding import (
     verify_embedding,
 )
 from .enumeration import (
-    GeneratorConfig,
     VerificationReport,
     all_labeled_posets,
     random_poset,
@@ -73,7 +72,6 @@ __all__ = [
     "DuplicateElement",
     "Embedding",
     "FormatError",
-    "GeneratorConfig",
     "InflatedPoint",
     "InternalInvariantViolation",
     "InvalidMultiplicity",

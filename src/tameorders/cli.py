@@ -187,7 +187,7 @@ def _cmd_gen(args) -> int:
             n, prob, seed = int(n), float(prob), int(seed)
         except ValueError as exc:
             raise InvalidParameter(f"--random N P SEED: {exc}") from None
-        p = enumeration.random_poset(enumeration.GeneratorConfig(n, prob, seed))
+        p = enumeration.random_poset(n, prob, seed)
     if args.json:
         print(poset_json_text(p))
     else:

@@ -20,16 +20,17 @@ from .poset import Label, Poset, build_poset, is_chain, iter_bits
 
 
 class Embedding(NamedTuple):
-    """An injective map between posets plus its verification status.
+    """A map between posets, claimed to be an embedding.
 
-    ``verified`` is set only after the two-way preservation check has
-    passed; constructors in this module return verified embeddings.
+    The record holds no verdict: ``verify_embedding`` checks the claim.
+    ``find_embedding`` runs that check before it returns, and
+    ``canonical_embedding`` and ``realize`` rest on their coordinates'
+    recheck.
     """
 
     source: Poset
     target: Poset
     mapping: dict[Label, Label]
-    verified: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -184,18 +185,18 @@ def find_embedding(
     """Least two-way embedding of ``pattern`` into ``target``, or None.
 
     When an embedding exists, the returned one is lexicographically least
-    under element index order, and comes back verified.  Both passes keep a
-    bitmask domain of still-consistent targets per pattern element and cut
-    the later domains after every assignment (see ``_search``).  Absence is
-    decided first with a most-constrained-first assignment order (most
-    related elements first), which fails fast on impossible instances; when
-    ``check_poset`` refutes a non-tame poset, that order starts with the
-    copy of the forbidden pattern its scan found, which no template can
-    host.  The decide order only sets how soon absence is proven, never the
-    verdict, and the witness pass reruns in index order.  ``budget`` caps
-    the nodes across both passes, a node being one assignment consistent
-    with every earlier one (BudgetExceeded rather than a wrong answer); a
-    negative budget is an InvalidParameter.
+    under element index order, and ``verify_embedding`` has passed it.
+    Both passes keep a bitmask domain of still-consistent targets per
+    pattern element and cut the later domains after every assignment (see
+    ``_search``).  Absence is decided first with a most-constrained-first
+    assignment order (most related elements first), which fails fast on
+    impossible instances; when ``check_poset`` refutes a non-tame poset,
+    that order starts with the copy of the forbidden pattern its scan found,
+    which no template can host.  The decide order only sets how soon absence
+    is proven, never the verdict, and the witness pass reruns in index
+    order.  ``budget`` caps the nodes across both passes, a node being one
+    assignment consistent with every earlier one (BudgetExceeded rather than
+    a wrong answer); a negative budget is an InvalidParameter.
     """
     shared = _Budget(budget)
     k, n = len(pattern), len(target)
@@ -219,9 +220,10 @@ def find_embedding(
     mapping = {
         pattern.elements[i]: target.elements[image[i]] for i in range(k)
     }
-    if not verify_embedding(Embedding(pattern, target, mapping)):
+    embedding = Embedding(pattern, target, mapping)
+    if not verify_embedding(embedding):
         raise InternalInvariantViolation("search produced a non-embedding")
-    return Embedding(pattern, target, mapping, verified=True)
+    return embedding
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:

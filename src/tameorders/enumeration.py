@@ -25,30 +25,6 @@ from .textfmt import poset_json
 ENUMERATION_CAP = 6
 
 
-class _GeneratorFields(NamedTuple):
-    n: int
-    edge_probability: float
-    seed: int
-
-
-class GeneratorConfig(_GeneratorFields):
-    """Seeded random-poset parameters."""
-
-    __slots__ = ()
-
-    def __new__(cls, n, edge_probability, seed):
-        if n < 0:
-            raise InvalidParameter("element count must be nonnegative")
-        if not 0.0 <= edge_probability <= 1.0:
-            raise InvalidParameter("edge probability must lie in [0, 1]")
-        return super().__new__(cls, n, edge_probability, seed)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make, and _replace through it, would skip __new__
-        return cls(*iterable)
-
-
 def all_labeled_posets(n: int) -> Iterator[Poset]:
     """Every labeled strict partial order on elements "0".."n-1", once each.
 
@@ -107,21 +83,26 @@ def all_labeled_posets(n: int) -> Iterator[Poset]:
         yield Poset._trusted(labels, ups, downs, index)
 
 
-def random_poset(cfg: GeneratorConfig) -> Poset:
+def random_poset(n: int, edge_probability: float, seed: int) -> Poset:
     """Seeded random poset: random linear extension, independent edges.
 
-    Draws a uniform permutation, keeps each permutation-compatible pair
-    independently with the configured probability, and closes transitively.
-    The same config always yields the same poset.
+    On elements "0".."n-1", draws a uniform permutation, keeps each
+    permutation-compatible pair independently with ``edge_probability``,
+    and closes transitively.  The same arguments always yield the same
+    poset.  InvalidParameter for n < 0 or a probability outside [0, 1].
     """
-    rng = random.Random(cfg.seed)
-    labels = [str(i) for i in range(cfg.n)]
-    perm = list(range(cfg.n))
+    if n < 0:
+        raise InvalidParameter("element count must be nonnegative")
+    if not 0.0 <= edge_probability <= 1.0:
+        raise InvalidParameter("edge probability must lie in [0, 1]")
+    rng = random.Random(seed)
+    labels = [str(i) for i in range(n)]
+    perm = list(range(n))
     rng.shuffle(perm)
     pairs = []
-    for i in range(cfg.n):
-        for j in range(i + 1, cfg.n):
-            if rng.random() < cfg.edge_probability:
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_probability:
                 pairs.append((labels[perm[i]], labels[perm[j]]))
     return build_poset(labels, pairs)
 
@@ -171,10 +152,11 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
             f"witness={witness!r} u_comparable={u_ok} d_comparable={d_ok}",
         )
     if tame_here:
-        rank = tame._rank(p)
         quotient = tame.reduce(p, check=True).quotient
         # raises unless the quotient's coordinates pass their recheck
         quotient_rank = tame._reduced_coordinates(quotient)[0]
+        # a reduced p is its own quotient, whose rank was just read
+        rank = quotient_rank if quotient is p else tame._rank(p)
         if quotient_rank != rank:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
         if find_embedding(quotient, r_lambda(rank), budget=budget) is None:
@@ -232,7 +214,6 @@ def verify_sampled(
         raise InvalidParameter("sample count must be nonnegative")
     rng = random.Random(seed)
     samples = (
-        random_poset(GeneratorConfig(n, rng.random(), rng.getrandbits(32)))
-        for _ in range(count)
+        random_poset(n, rng.random(), rng.getrandbits(32)) for _ in range(count)
     )
     return _sweep(n, samples, budget)

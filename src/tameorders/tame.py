@@ -34,13 +34,16 @@ class ReductionResult(NamedTuple):
     """Quotient by the same-(d, u)-signature equivalence.
 
     The quotient's elements are the class representatives (least index per
-    class), in first-occurrence order; ``class_of`` maps every original
-    element to its class index.
+    class), in first-occurrence order, and ``representatives`` returns them;
+    ``class_of`` maps every original element to its class index.
     """
 
     quotient: Poset
     class_of: dict[Label, int]
-    representatives: tuple[Label, ...]
+
+    @property
+    def representatives(self) -> tuple[Label, ...]:
+        return self.quotient.elements
 
 
 def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
@@ -60,7 +63,7 @@ def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
             reps.append(x)
         class_of[x] = by_sig[sig]
     quotient = p if len(reps) == len(p) else restrict(p, reps)
-    result = ReductionResult(quotient, class_of, tuple(reps))
+    result = ReductionResult(quotient, class_of)
     if check and quotient is not p:
         for ix, x in enumerate(p.elements):
             cx = class_of[x]
@@ -145,14 +148,15 @@ def _reduced_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
 def canonical_embedding(p: Poset) -> Embedding:
     """Embed a reduced tame poset into the template of its tame rank.
 
-    Maps x to its rechecked coordinate pair (m(x), M(x)).  The template has
+    Maps x to its rechecked coordinate pair (m(x), M(x)); passing that
+    recheck is what makes the map an embedding.  The template has
     width r = tame rank <= len(p), with no other limit; ``embed --json`` is
     the one CLI verb that builds it here (the sweep's searches and
     ``RealizeResult.inflated`` build templates of their own).
     """
     rank, ms, Ms = _reduced_coordinates(p)
     mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}
-    return Embedding(p, r_lambda(rank), mapping, verified=True)
+    return Embedding(p, r_lambda(rank), mapping)
 
 
 def minimal_rank_bruteforce(p: Poset, *, budget: int | None = None) -> int:
@@ -190,7 +194,6 @@ def check_claim_inequalities(p: Poset) -> bool:
 
 
 class _TameFields(NamedTuple):
-    tame: bool
     witness: tuple[Label, Label, Label, Label] | None = None
     tame_rank: int | None = None
     coordinates: dict[Label, tuple[int, int]] | None = None
@@ -200,17 +203,24 @@ class TameReport(_TameFields):
     """Verdict of a tameness check.
 
     Exactly one of ``witness`` (quadruple from the forbidden pattern) and
-    ``tame_rank`` is present; ``coordinates`` ({x: (m, M)}) only for tame,
-    reduced inputs.  Only the 4-element pattern is ever consulted: the
-    infinite forbidden pattern cannot embed into a finite order.
+    ``tame_rank`` is present, and ``tame`` says which; ``coordinates``
+    ({x: (m, M)}) only for tame, reduced inputs.  Only the 4-element
+    pattern is ever consulted: the infinite forbidden pattern cannot embed
+    into a finite order.
     """
 
     __slots__ = ()
 
-    def __new__(cls, tame, witness=None, tame_rank=None, coordinates=None):
+    def __new__(cls, witness=None, tame_rank=None, coordinates=None):
         if (witness is None) == (tame_rank is None):
             raise ValueError("exactly one of witness/tame_rank must be present")
-        return super().__new__(cls, tame, witness, tame_rank, coordinates)
+        if coordinates is not None and tame_rank is None:
+            raise ValueError("coordinates need a tame_rank")
+        return super().__new__(cls, witness, tame_rank, coordinates)
+
+    @property
+    def tame(self) -> bool:
+        return self.witness is None
 
     @classmethod
     def _make(cls, iterable):
@@ -236,9 +246,8 @@ def is_tame(p: Poset) -> TameReport:
     """
     witness = embeds_r22(p)
     if witness is not None:
-        return TameReport(tame=False, witness=witness)
+        return TameReport(witness=witness)
     if not is_reduced(p):
-        return TameReport(tame=True, tame_rank=_rank(p))
+        return TameReport(tame_rank=_rank(p))
     rank, ms, Ms = _canonical_coordinates(p)
-    coordinates = dict(zip(p.elements, zip(ms, Ms)))
-    return TameReport(tame=True, tame_rank=rank, coordinates=coordinates)
+    return TameReport(tame_rank=rank, coordinates=dict(zip(p.elements, zip(ms, Ms))))

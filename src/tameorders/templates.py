@@ -171,14 +171,18 @@ def cummings_blocks(o: int) -> Poset:
 class RealizeResult(NamedTuple):
     """Outcome of the realization pipeline.
 
-    ``w`` names the selected copies of the template of width ``rank``,
-    inflated as ``inflated`` (built on each access); ``iso`` is the
-    verified isomorphism from the restriction onto the original input.
+    ``iso`` is the isomorphism from the restriction onto the original input,
+    correct by the coordinates' recheck.  ``w``, the restriction's elements,
+    names the selected copies of the template of width ``rank``, inflated as
+    ``inflated``; both are derived on each access.
     """
 
-    w: tuple[Label, ...]
     iso: Embedding
     rank: int
+
+    @property
+    def w(self) -> tuple[Label, ...]:
+        return self.iso.source.elements
 
     @property
     def inflated(self) -> Poset:
@@ -195,11 +199,11 @@ def realize(s: Poset) -> RealizeResult:
     Element x becomes a copy of the point (m(x), M(x)), so every class
     inflates its point to the class size.  ``w`` lists the copies in
     (m, M, element index) order, their order in the inflated template; they
-    relate as their points do, built by ``_interval_order``.
-    The coordinates' recheck verifies ``iso``.  Raises NotTame (with
-    witness) on non-tame input.  Only the order-theoretic restriction step
-    is modeled: picking the points out of a larger ambient structure adds
-    nothing combinatorial.
+    relate as their points do, built by ``_interval_order``.  The
+    coordinates' recheck, not ``verify_embedding``, makes ``iso`` an
+    isomorphism.  Raises NotTame (with witness) on non-tame input.  Only
+    the order-theoretic restriction step is modeled: picking the points out
+    of a larger ambient structure adds nothing combinatorial.
     """
     from . import tame
 
@@ -212,5 +216,4 @@ def realize(s: Poset) -> RealizeResult:
     order = sorted(range(len(s)), key=lambda i: (ms[i], Ms[i], i))
     elements = tuple(labels[i] for i in order)
     source = _interval_order(elements, [ms[i] for i in order], [Ms[i] for i in order])
-    iso = Embedding(source, s, dict(zip(labels, s.elements)), verified=True)
-    return RealizeResult(source.elements, iso, rank)
+    return RealizeResult(Embedding(source, s, dict(zip(labels, s.elements))), rank)

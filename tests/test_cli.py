@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import tameorders
 from tameorders import (
-    GeneratorConfig,
     cli,
     cummings_blocks,
     format_poset,
@@ -82,7 +81,7 @@ class TestGen:
             (["--cummings", "4"], lambda: cummings_blocks(4)),
             (
                 ["--random", "70", "0.3", "4"],
-                lambda: random_poset(GeneratorConfig(70, 0.3, 4)),
+                lambda: random_poset(70, 0.3, 4),
             ),
         ],
     )
@@ -377,6 +376,18 @@ class TestBadInput:
         code, out, err = run(capsys, "gen", "--random", "x", "0.5", "1")
         assert code == 1 and out == ""
         assert "--random" in err
+
+    @pytest.mark.parametrize(
+        "n, prob, message",
+        [
+            ("5", "2", "edge probability must lie in [0, 1]"),
+            ("-1", "0.5", "element count must be nonnegative"),
+        ],
+    )
+    def test_gen_random_out_of_range(self, capsys, n, prob, message):
+        code, out, err = run(capsys, "gen", "--random", n, prob, "1")
+        assert code == 1 and out == ""
+        assert err.strip() == message
 
     def test_internal_value_error_exits_4(self, capsys, tmp_path, monkeypatch):
         def broken(p):

@@ -72,12 +72,12 @@ class TestFindEmbedding:
 
     def test_two_chain_into_three_chain_least(self):
         emb = find_embedding(chain(2), chain(3))
-        assert emb is not None and emb.verified
+        assert emb is not None and verify_embedding(emb)
         assert emb.mapping == {"c0": "c0", "c1": "c1"}
 
     def test_s22_into_r3(self):
         emb = find_embedding(pattern_s_n2(2), r_lambda(3))
-        assert emb is not None and emb.verified
+        assert emb is not None and verify_embedding(emb)
         # least map under element index order, recomputed by the brute oracle
         assert emb.mapping == {"x0": "0,1", "x1": "0,0", "y0": "2,2", "y1": "1,2"}
 
@@ -93,7 +93,7 @@ class TestFindEmbedding:
     def test_identity_always_present(self):
         for p in (chain(3), antichain(3), pattern_r22(), pattern_s_n2(2)):
             emb = find_embedding(p, p)
-            assert emb is not None and emb.verified
+            assert emb is not None and verify_embedding(emb)
 
     def test_empty_pattern(self):
         emb = find_embedding(build_poset([], []), chain(2))

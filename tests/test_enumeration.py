@@ -1,15 +1,16 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from tameorders import (
-    GeneratorConfig,
     InvalidParameter,
     SizeLimitExceeded,
     all_labeled_posets,
     enumeration,
+    format_poset,
     is_isomorphic,
     random_poset,
     tame,
@@ -88,42 +89,50 @@ class TestAllLabeledPosets:
 
 class TestRandomPoset:
     def test_zero_probability_is_antichain(self):
-        p = random_poset(GeneratorConfig(5, 0.0, 123))
+        p = random_poset(5, 0.0, 123)
         assert p.num_relations == 0
         assert is_isomorphic(p, antichain(5))
 
     def test_unit_probability_is_chain(self):
-        p = random_poset(GeneratorConfig(4, 1.0, 99))
+        p = random_poset(4, 1.0, 99)
         assert is_isomorphic(p, chain(4))
 
     def test_deterministic(self):
-        a = random_poset(GeneratorConfig(6, 0.3, 42))
-        b = random_poset(GeneratorConfig(6, 0.3, 42))
+        a = random_poset(6, 0.3, 42)
+        b = random_poset(6, 0.3, 42)
         assert a == b
 
     def test_seed_changes_output(self):
-        draws = {random_poset(GeneratorConfig(6, 0.5, s)).up_masks for s in range(8)}
+        draws = {random_poset(6, 0.5, s).up_masks for s in range(8)}
         assert len(draws) > 1
 
     def test_always_valid(self):
         for seed in range(10):
-            random_poset(GeneratorConfig(7, 0.4, seed)).validate()
+            random_poset(7, 0.4, seed).validate()
 
-    def test_config_validation(self):
-        with pytest.raises(InvalidParameter):
-            GeneratorConfig(-1, 0.5, 0)
-        with pytest.raises(InvalidParameter):
-            GeneratorConfig(3, 1.5, 0)
-        with pytest.raises(InvalidParameter):
-            GeneratorConfig(n=3, edge_probability=-0.1, seed=0)
+    def test_parameter_validation(self):
+        with pytest.raises(InvalidParameter, match="element count must be nonnegative"):
+            random_poset(-1, 0.5, 0)
+        with pytest.raises(InvalidParameter, match=r"edge probability must lie in \[0, 1\]"):
+            random_poset(3, 1.5, 0)
+        with pytest.raises(InvalidParameter, match=r"edge probability must lie in \[0, 1\]"):
+            random_poset(n=3, edge_probability=-0.1, seed=0)
 
-    def test_namedtuple_helpers_validate(self):
-        with pytest.raises(InvalidParameter):
-            GeneratorConfig._make([-1, 0.5, 0])
-        with pytest.raises(InvalidParameter):
-            GeneratorConfig(3, 0.5, 0)._replace(edge_probability=2.0)
-        changed = GeneratorConfig(3, 0.5, 0)._replace(seed=7)
-        assert type(changed) is GeneratorConfig and changed == (3, 0.5, 7)
+    def test_stream_is_pinned(self):
+        """The posets drawn for each (n, p, seed), and those verify_sampled draws."""
+        text = "".join(
+            format_poset(random_poset(n, p, s))
+            for n in range(10)
+            for p in (0.0, 0.3, 0.7, 1.0)
+            for s in range(5)
+        )
+        rng = random.Random(3)
+        text += "".join(
+            format_poset(random_poset(7, rng.random(), rng.getrandbits(32)))
+            for _ in range(6)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest.startswith("b3c2fbc6414e3216")
 
 
 class TestVerifyProposition:
@@ -252,6 +261,10 @@ class TestEverySweepCheckFires:
 
     def test_comparable_down_sets_fail_comparability(self, monkeypatch):
         monkeypatch.setattr(tame, "d_comparable", lambda p: True)
+        assert fired(verify_proposition(4)) == {"comparability": 12}
+
+    def test_comparable_up_sets_fail_comparability(self, monkeypatch):
+        monkeypatch.setattr(tame, "u_comparable", lambda p: True)
         assert fired(verify_proposition(4)) == {"comparability": 12}
 
     def test_rank_raised_off_quotient_fails_rank_invariance(self, monkeypatch):

@@ -73,7 +73,7 @@ class TestIsTame:
         report = is_tame(r_lambda(4))
         assert report.tame and report.tame_rank == 4
         assert report.coordinates == {x: parse_order_pair(x) for x in r_lambda(4)}
-        assert canonical_embedding(r_lambda(4)).verified
+        assert verify_embedding(canonical_embedding(r_lambda(4)))
 
     def test_s22_tame(self):
         report = is_tame(pattern_s_n2(2))
@@ -103,21 +103,29 @@ class TestIsTame:
 
     def test_report_wants_witness_or_rank(self):
         with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
-            TameReport(tame=True)
+            TameReport()
         with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
-            TameReport(tame=False, witness=("a", "b", "c", "d"), tame_rank=1)
+            TameReport(witness=("a", "b", "c", "d"), tame_rank=1)
         with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
-            TameReport(True, None, None)
-        assert TameReport(True, None, 1) == TameReport(tame=True, tame_rank=1)
+            TameReport(None, None, {"a": (0, 0)})
+        with pytest.raises(ValueError, match="coordinates need a tame_rank"):
+            TameReport(("a", "b", "c", "d"), None, {"a": (0, 0)})
+        assert TameReport(None, 1) == TameReport(tame_rank=1)
+
+    def test_tame_is_read_from_the_witness(self):
+        assert TameReport(tame_rank=1).tame
+        assert not TameReport(witness=("a", "b", "c", "d")).tame
 
     def test_namedtuple_helpers_validate(self):
         report = is_tame(build_poset(["a", "b"], [("a", "b")]))
         with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
             report._replace(tame_rank=None)
         with pytest.raises(ValueError, match="exactly one of witness/tame_rank"):
-            TameReport._make([True, None, None, None])
+            TameReport._make([None, None, None])
+        with pytest.raises(ValueError, match="coordinates need a tame_rank"):
+            report._replace(witness=("a", "b", "a", "b"), tame_rank=None)
         plain = report._replace(coordinates=None)
-        assert type(plain) is TameReport and plain == (True, None, 2, None)
+        assert type(plain) is TameReport and plain == (None, 2, None)
 
     def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
         with pytest.raises(InternalInvariantViolation):
@@ -311,7 +319,7 @@ class TestCanonicalEmbedding:
     def test_chain(self):
         emb = canonical_embedding(chain(3))
         assert emb.mapping == {"c0": "0,0", "c1": "1,1", "c2": "2,2"}
-        assert emb.verified
+        assert verify_embedding(emb)
 
     def test_s22(self):
         emb = canonical_embedding(pattern_s_n2(2))
@@ -472,4 +480,4 @@ def test_reduced_tame_embedding_verifies_exhaustively_small():
         for p in all_labeled_posets(n):
             if embeds_r22(p) is None:
                 emb = canonical_embedding(reduce(p).quotient)
-                assert emb.verified and verify_embedding(emb)
+                assert verify_embedding(emb)

@@ -1,13 +1,16 @@
 """The test settings and the package surface.
 
 A failing test is reported, not fatal; the public names are exactly the
-listed ones, and so are each CLI verb's options; the public records are
-read-only tuples of their fields; no module imports a name it never uses,
-and importing the CLI loads neither ``dataclasses`` nor ``inspect``.
+listed ones, as many as README says, and so are each CLI verb's options;
+the public records are read-only tuples of their fields, with the facts
+derived from those fields as read-only properties; no module imports a
+name it never uses, and importing the CLI loads neither ``dataclasses``
+nor ``inspect``.
 """
 
 import argparse
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -18,7 +21,6 @@ import pytest
 import tameorders
 from tameorders import (
     Embedding,
-    GeneratorConfig,
     InflatedPoint,
     VerificationReport,
     build_poset,
@@ -32,6 +34,7 @@ from tameorders import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "tameorders"
 
@@ -41,7 +44,6 @@ PUBLIC = [
     "DuplicateElement",
     "Embedding",
     "FormatError",
-    "GeneratorConfig",
     "InflatedPoint",
     "InternalInvariantViolation",
     "InvalidMultiplicity",
@@ -129,6 +131,12 @@ def test_public_surface_is_the_listed_names():
     assert all(hasattr(tameorders, name) for name in names)
 
 
+def test_readme_counts_the_public_names():
+    stated = re.search(r"`tameorders\.__all__` \((\d+) of them", README.read_text())
+    assert stated is not None, "README no longer states the public-name count"
+    assert int(stated.group(1)) == len(tameorders.__all__)
+
+
 EVERY_VERB = ["-h", "--help", "--json"]
 
 # every verb's options, in declaration order; a new or moved flag edits this
@@ -158,26 +166,30 @@ def test_each_verb_takes_exactly_the_listed_options():
 
 def test_every_record_is_a_read_only_tuple_of_its_fields():
     p = pattern_s_n2(2)
+    # record, its fields, the attributes derived from them
     records = [
-        (Embedding(p, p, {}), ("source", "target", "mapping", "verified")),
-        (reduce(p), ("quotient", "class_of", "representatives")),
-        (is_tame(p), ("tame", "witness", "tame_rank", "coordinates")),
-        (GeneratorConfig(3, 0.5, 1), ("n", "edge_probability", "seed")),
-        (VerificationReport(3, 0, 0), ("n", "total", "tame_count", "counterexamples")),
-        (realize(p), ("w", "iso", "rank")),
+        (Embedding(p, p, {}), ("source", "target", "mapping"), ()),
+        (reduce(p), ("quotient", "class_of"), ("representatives",)),
+        (is_tame(p), ("witness", "tame_rank", "coordinates"), ("tame",)),
+        (
+            VerificationReport(3, 0, 0),
+            ("n", "total", "tame_count", "counterexamples"),
+            ("ok",),
+        ),
+        (realize(p), ("iso", "rank"), ("w", "inflated")),
     ]
-    for record, fields in records:
+    for record, fields, derived in records:
         name = type(record).__name__
+        assert record._fields == fields, name
         assert tuple(record) == tuple(getattr(record, f) for f in fields), name
-        for field in fields + ("extra",):
+        for attr in fields + derived + ("extra",):
             with pytest.raises(AttributeError):
-                setattr(record, field, None)
+                setattr(record, attr, None)
 
 
 def test_record_defaults():
-    # the validating constructors are pinned in test_tame and test_enumeration
-    p = pattern_s_n2(2)
-    assert Embedding(p, p, {}).verified is False
+    # TameReport's validating constructor is pinned in test_tame
+    assert Embedding._field_defaults == {}
     assert VerificationReport(3, 0, 0).counterexamples == ()
 
 
