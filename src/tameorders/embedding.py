@@ -23,9 +23,9 @@ class Embedding(NamedTuple):
     """A map between posets, claimed to be an embedding.
 
     The record holds no verdict: ``verify_embedding`` checks the claim.
-    ``find_embedding`` runs that check before it returns, and
-    ``canonical_embedding`` and ``realize`` rest on their coordinates'
-    recheck.
+    ``find_embedding`` runs that check's index-level test on the witness
+    pass's image before it builds the record, and ``canonical_embedding``
+    and ``realize`` rest on their coordinates' recheck.
     """
 
     source: Poset
@@ -119,7 +119,8 @@ def _search(
     below or apart from s; none of them holds t, so the map stays
     injective.  A choice is dropped at the first later domain it empties,
     before the rest are cut.  Each candidate taken from a domain is one node
-    of ``budget``.
+    of ``budget``.  The backtracking keeps an explicit stack, so the depth
+    is bounded by memory, not by the interpreter's recursion limit.
 
     Returns the image index per pattern element, or None.  Candidates are
     tried in ascending target index, so with ``order`` equal to the identity
@@ -133,6 +134,8 @@ def _search(
     ]
     if not all(domains):
         return None
+    if not k:
+        return []
     # narrowing[d][j]: the target masks that cut the domain at depth d+1+j
     # once the element at depth d is placed
     narrowing = [
@@ -145,34 +148,100 @@ def _search(
         for d, s in enumerate(order)
     ]
     placed = [-1] * k
+    # candidates[d]: the untried targets at depth d; pending[d]: the domains
+    # of depths d+1.. as the assignments above depth d left them
+    candidates = [0] * k
+    pending: list[list[int]] = [[]] * k
+    candidates[0], pending[0] = domains[0], domains[1:]
+    depth = 0
+    while depth >= 0:
+        left = candidates[depth]
+        if not left:
+            depth -= 1
+            continue
+        low = left & -left
+        candidates[depth] = left ^ low
+        t = low.bit_length() - 1
+        budget.spend()
+        narrowed = []
+        for domain, masks in zip(pending[depth], narrowing[depth]):
+            domain &= masks[t]
+            if not domain:
+                break
+            narrowed.append(domain)
+        else:
+            placed[depth] = t
+            depth += 1
+            if depth == k:
+                image = [-1] * k
+                for s, t in zip(order, placed):
+                    image[s] = t
+                return image
+            candidates[depth], pending[depth] = narrowed[0], narrowed[1:]
+    return None
 
-    def assign(depth: int, domains: list[int]) -> bool:
-        if depth == k:
-            return True
-        candidates, later, cuts = domains[0], domains[1:], narrowing[depth]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            t = low.bit_length() - 1
-            budget.spend()
-            narrowed = []
-            for domain, masks in zip(later, cuts):
-                domain &= masks[t]
-                if not domain:
-                    break
-                narrowed.append(domain)
-            else:
-                if assign(depth + 1, narrowed):
-                    placed[depth] = t
-                    return True
+
+def _preserves_order(source: Poset, target: Poset, image: Sequence[int]) -> bool:
+    """The embedding test at index level: ``image[i]`` is the target of source i.
+
+    True iff the map is injective and x < y exactly when image[x] <
+    image[y], checked row by row: each source up mask, pushed forward
+    through the map, is the target up mask of its image point cut to the
+    image.
+    """
+    if len(set(image)) != len(image):
         return False
+    bits = [1 << t for t in image]
+    covered = sum(bits)
+    up = target.up_masks
+    for t, row in zip(image, source.up_masks):
+        pushed = 0
+        while row:
+            low = row & -row
+            pushed |= bits[low.bit_length() - 1]
+            row ^= low
+        if up[t] & covered != pushed:
+            return False
+    return True
 
-    if not assign(0, domains):
-        return None
-    image = [-1] * k
-    for s, t in zip(order, placed):
-        image[s] = t
-    return image
+
+def _decide(pattern: Poset, target: Poset, budget: _Budget, first: Sequence[int]) -> bool:
+    """One most-constrained-first search, its image checked before True."""
+    k = len(pattern)
+    if k > len(target):
+        return False
+    degree = [
+        pattern.down_masks[i].bit_count() + pattern.up_masks[i].bit_count()
+        for i in range(k)
+    ]
+    order = sorted(range(k), key=lambda i: (-degree[i], i))
+    if first:
+        # distinct indices placed first; the search stays complete, so any
+        # leading order gives the same verdict
+        order = [*first, *(i for i in order if i not in first)]
+    image = _search(pattern, order, _target_tables(target), budget)
+    if image is None:
+        return False
+    if not _preserves_order(pattern, target, image):
+        raise InternalInvariantViolation("search produced a non-embedding")
+    return True
+
+
+def _embeds(
+    pattern: Poset,
+    target: Poset,
+    *,
+    budget: int | None = None,
+    _first: Sequence[int] = (),
+) -> bool:
+    """Whether ``pattern`` embeds two-way into ``target``: one search pass.
+
+    The existence question of ``find_embedding`` without its witness pass:
+    the same most-constrained-first search (``_first`` leads its order), the
+    same ``budget`` semantics, and the found image is verified at index
+    level before the answer is True.
+    """
+    return _decide(pattern, target, _Budget(budget), _first)
 
 
 def find_embedding(
@@ -185,64 +254,53 @@ def find_embedding(
     """Least two-way embedding of ``pattern`` into ``target``, or None.
 
     When an embedding exists, the returned one is lexicographically least
-    under element index order, and ``verify_embedding`` has passed it.
+    under element index order, and it has passed the embedding test.
     Both passes keep a bitmask domain of still-consistent targets per
     pattern element and cut the later domains after every assignment (see
-    ``_search``).  Absence is decided first with a most-constrained-first
-    assignment order (most related elements first), which fails fast on
-    impossible instances; when ``check_poset`` refutes a non-tame poset,
-    that order starts with the copy of the forbidden pattern its scan found,
-    which no template can host.  The decide order only sets how soon absence
-    is proven, never the verdict, and the witness pass reruns in index
-    order.  ``budget`` caps the nodes across both passes, a node being one
-    assignment consistent with every earlier one (BudgetExceeded rather than
-    a wrong answer); a negative budget is an InvalidParameter.
+    ``_search``).  Existence is decided first, as ``_embeds`` does, with a
+    most-constrained-first assignment order (most related elements first),
+    which fails fast on impossible instances; that pass verifies the image
+    it found.  The decide order only sets how soon absence is proven, never
+    the verdict; the witness pass then reruns in index order, and its image
+    is verified by the test behind ``verify_embedding`` before it is
+    returned.  ``budget`` caps the nodes across both passes, a node being
+    one assignment consistent with every earlier one (BudgetExceeded rather
+    than a wrong answer); a negative budget is an InvalidParameter.
+    Questions that need no witness (the sweep's checks, ``is_isomorphic``,
+    ``minimal_rank_bruteforce``) stop after the first pass.
     """
     shared = _Budget(budget)
-    k, n = len(pattern), len(target)
-    if k > n:
+    if not _decide(pattern, target, shared, _first):
         return None
-    tables = _target_tables(target)
-    degree = [
-        pattern.down_masks[i].bit_count() + pattern.up_masks[i].bit_count()
-        for i in range(k)
-    ]
-    decide_order = sorted(range(k), key=lambda i: (-degree[i], i))
-    if _first:
-        # distinct indices placed first; the search stays complete, so any
-        # leading order gives the same verdict
-        decide_order = [*_first, *(i for i in decide_order if i not in _first)]
-    if _search(pattern, decide_order, tables, shared) is None:
-        return None
-    image = _search(pattern, list(range(k)), tables, shared)
+    image = _search(pattern, list(range(len(pattern))), _target_tables(target), shared)
     if image is None:
         raise InternalInvariantViolation("embedding vanished between search passes")
-    mapping = {
-        pattern.elements[i]: target.elements[image[i]] for i in range(k)
-    }
-    embedding = Embedding(pattern, target, mapping)
-    if not verify_embedding(embedding):
+    if not _preserves_order(pattern, target, image):
         raise InternalInvariantViolation("search produced a non-embedding")
-    return embedding
+    mapping = dict(zip(pattern.elements, (target.elements[t] for t in image)))
+    return Embedding(pattern, target, mapping)
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
     """True iff an order isomorphism p -> q exists.
 
     Posets of equal size are isomorphic exactly when one embeds two-way into
-    the other, so this is ``find_embedding`` behind a relation-count check,
-    with no size limit.
+    the other, so this is the one-pass existence check behind a
+    relation-count check, with no size limit; the image it finds is
+    verified before the answer is True.
     """
     if len(p) != len(q) or p.num_relations != q.num_relations:
         return False
-    return find_embedding(p, q) is not None
+    return _embeds(p, q)
 
 
 def verify_embedding(e: Embedding) -> bool:
     """Check injectivity and two-way order preservation over every pair.
 
     Raises UnknownElement when the map is not total on the source or touches
-    elements foreign to either side.
+    elements foreign to either side.  Past those label checks, the map is
+    read as target indices and judged by the same index-level test that
+    every search applies to the images it finds.
     """
     src, tgt = e.source, e.target
     for x in e.mapping:
@@ -251,22 +309,8 @@ def verify_embedding(e: Embedding) -> bool:
     for x in src.elements:
         if x not in e.mapping:
             raise UnknownElement(f"map not total: missing {x!r}")
-    source_of: dict[int, int] = {}
-    for x, y in e.mapping.items():
-        t = tgt.index(y)
-        if t in source_of:
-            return False
-        source_of[t] = src.index(x)
-    image = sum(1 << t for t in source_of)
-    # the source-side up mask that each distinct target up mask implies
-    pulled_back: dict[int, int] = {}
-    for t, i in source_of.items():
-        row = tgt.up_masks[t] & image
-        if row not in pulled_back:
-            pulled_back[row] = sum(1 << source_of[u] for u in iter_bits(row))
-        if (pulled_back[row] ^ src.up_masks[i]) & ~(1 << i):
-            return False
-    return True
+    image = [tgt.index(e.mapping[x]) for x in src.elements]
+    return _preserves_order(src, tgt, image)
 
 
 def embeds_r22(p: Poset) -> tuple[Label, Label, Label, Label] | None:

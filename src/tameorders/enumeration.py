@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import tame
-from .embedding import embeds_r22, find_embedding
+from .embedding import _embeds, embeds_r22
 from .errors import InvalidParameter, SizeLimitExceeded
 from .poset import Poset, build_poset
 from .templates import r_lambda
@@ -135,8 +135,10 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     if unreduced, "claim-inequalities" (a reduced p is its own quotient,
     whose recheck is the same mask test); on non-tame inputs "embed-nontame"
     (no template), a search that places the scan's witness quadruple first,
-    since no template hosts that copy of the pattern.  Every search is
-    bounded by ``budget``.
+    since no template hosts that copy of the pattern.  Each of the three
+    searches asks only whether an embedding exists, so it runs one pass of
+    ``embedding._embeds``, whose found image is verified before it counts,
+    and no witness pass; each is bounded by ``budget`` on its own.
     """
     failures: list[dict] = []
 
@@ -159,17 +161,17 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
         rank = quotient_rank if quotient is p else tame._rank(p)
         if quotient_rank != rank:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
-        if find_embedding(quotient, r_lambda(rank), budget=budget) is None:
+        if not _embeds(quotient, r_lambda(rank), budget=budget):
             fail("embed-tame", f"no brute-force embedding into width {rank}")
         # reduce returns p itself when p is reduced: the recheck tested its claim
         if len(quotient) < len(p):
             if not tame.check_claim_inequalities(p):
                 fail("claim-inequalities", "coordinate inequality violated")
-        elif rank and find_embedding(p, r_lambda(rank - 1), budget=budget) is not None:
+        elif rank and _embeds(p, r_lambda(rank - 1), budget=budget):
             fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
     else:
         first = [p.index(x) for x in witness]
-        if find_embedding(p, r_lambda(len(p)), budget=budget, _first=first) is not None:
+        if _embeds(p, r_lambda(len(p)), budget=budget, _first=first):
             fail(
                 "embed-nontame",
                 f"non-tame poset embedded into width {len(p)}",
@@ -198,7 +200,7 @@ def verify_proposition(n: int, *, budget: int | None = None) -> VerificationRepo
 
     Sweeps every poset that ``all_labeled_posets(n)`` yields, so n runs
     from 0 to ENUMERATION_CAP and its errors propagate before any check
-    runs; n = 6 (130023 posets) takes about 25 s.  Expected outcome on
+    runs; n = 6 (130023 posets) takes about 20 s.  Expected outcome on
     every n: zero counterexamples.
     """
     return _sweep(n, all_labeled_posets(n), budget)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embedding import Embedding, embeds_r22, find_embedding
+from .embedding import Embedding, _embeds, embeds_r22
 from .errors import InternalInvariantViolation, NotReduced, NotTame
 from .poset import Label, Poset, is_chain, restrict
 from .templates import _masks_above, order_pair_label, r_lambda
@@ -163,15 +163,16 @@ def minimal_rank_bruteforce(p: Poset, *, budget: int | None = None) -> int:
     """Least lam such that p embeds into the lam template, by ascending search.
 
     The definition-level oracle for the tame rank of a reduced tame poset:
-    it tries every width 0, 1, ... in turn.  There is no size limit; the
-    searches grow steeply with long chains, and ``budget`` bounds each one
-    (BudgetExceeded when a search overruns it).
+    it tries every width 0, 1, ... in turn, each by the one-pass existence
+    check, whose found image is verified before it counts.  There is no
+    size limit; the searches grow steeply with long chains, and ``budget``
+    bounds each one (BudgetExceeded when a search overruns it).
     """
     _require_tame(p)
     if not is_reduced(p):
         raise NotReduced("minimal rank search wants a reduced poset")
     for lam in range(len(p) + 1):
-        if find_embedding(p, r_lambda(lam), budget=budget) is not None:
+        if _embeds(p, r_lambda(lam), budget=budget):
             return lam
     raise InternalInvariantViolation("reduced tame poset embedded nowhere")
 

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from tameorders import (
     BudgetExceeded,
     Embedding,
+    InternalInvariantViolation,
     InvalidParameter,
     Poset,
     UnknownElement,
@@ -18,7 +21,8 @@ from tameorders import (
     verify_embedding,
 )
 
-from tameorders.embedding import _target_tables
+from tameorders import embedding, enumeration
+from tameorders.embedding import _embeds, _preserves_order, _target_tables
 from tameorders.poset import at_set_bits
 
 from conftest import (
@@ -160,6 +164,109 @@ class TestFindEmbedding:
         outer = find_embedding(q, q)
         composed = {x: outer.mapping[y] for x, y in inner.mapping.items()}
         assert verify_embedding(Embedding(p, q, composed))
+
+
+def pairwise_embedding(source, target, image) -> bool:
+    """Injective, and x < y exactly when image[x] < image[y], pair by pair."""
+    if len(set(image)) != len(image):
+        return False
+    return all(
+        bool(source.up_masks[i] >> j & 1) == bool(target.up_masks[image[i]] >> image[j] & 1)
+        for i in range(len(source))
+        for j in range(len(source))
+        if i != j
+    )
+
+
+class TestExistenceCheck:
+    """``_embeds``: the decide pass alone, its image verified before True."""
+
+    def test_agrees_with_find_embedding(self):
+        # into the templates of the rank, one narrower, and of width n; a
+        # non-tame poset also with its witness placed first, as the sweep does
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                rank = len(set(p.up_masks))
+                witness = embeds_r22(p)
+                hints = [()] if witness is None else [(), [p.index(x) for x in witness]]
+                for lam in {rank, max(rank - 1, 0), n}:
+                    t = r_lambda(lam)
+                    expected = find_embedding(p, t) is not None
+                    for hint in hints:
+                        assert _embeds(p, t, _first=hint) == expected, (p.pairs(), lam)
+
+    def test_corrupted_image_is_caught(self, monkeypatch):
+        # a search that claims the first target for every element: the
+        # decide pass's image is checked before the answer counts
+        monkeypatch.setattr(embedding, "_search", lambda pattern, *a: [0] * len(pattern))
+        with pytest.raises(InternalInvariantViolation):
+            _embeds(chain(2), chain(3))
+        with pytest.raises(InternalInvariantViolation):
+            find_embedding(chain(2), chain(3))
+
+    def test_corrupted_witness_is_caught(self, monkeypatch):
+        # the decide pass is sound; find_embedding's witness pass is not
+        real, orders = embedding._search, []
+
+        def second_corrupted(pattern, order, tables, budget):
+            orders.append(order)
+            image = real(pattern, order, tables, budget)
+            return image if len(orders) == 1 else [image[0]] * len(image)
+
+        monkeypatch.setattr(embedding, "_search", second_corrupted)
+        with pytest.raises(InternalInvariantViolation):
+            find_embedding(chain(2), chain(3))
+        assert len(orders) == 2
+
+    def test_budget_counts_one_pass(self, monkeypatch):
+        # the sweep's checks fit the nodes of the decide pass alone, where
+        # find_embedding adds its witness pass on top
+        p = pattern_s_n2(3)
+        real, spent = embedding._Budget.spend, []
+
+        def counted(self):
+            spent.append(1)
+            return real(self)
+
+        monkeypatch.setattr(embedding._Budget, "spend", counted)
+        assert _embeds(p, r_lambda(4))
+        monkeypatch.undo()
+        nodes = len(spent)
+        assert enumeration.check_poset(p, budget=nodes) == (True, [])
+        with pytest.raises(BudgetExceeded):
+            enumeration.check_poset(p, budget=nodes - 1)
+        with pytest.raises(BudgetExceeded):
+            find_embedding(p, r_lambda(4), budget=nodes)
+        assert find_embedding(p, r_lambda(4)) is not None
+
+    def test_deep_search_needs_no_recursion(self):
+        # one search level per element, past the interpreter's recursion limit
+        assert is_isomorphic(chain(1100), chain(1100))
+
+
+class TestPreservesOrder:
+    """The index-level test shared by the searches and ``verify_embedding``."""
+
+    def test_every_map_between_small_posets(self):
+        sources = [p for n in range(4) for p in all_labeled_posets(n)]
+        targets = list(all_labeled_posets(3)) + [r_lambda(2)]
+        found = 0
+        for p, t in itertools.product(sources, targets):
+            for image in itertools.product(range(len(t)), repeat=len(p)):
+                expected = pairwise_embedding(p, t, image)
+                assert _preserves_order(p, t, image) == expected, (p.pairs(), t.pairs(), image)
+                if expected:
+                    found += 1
+                    mapping = {p.elements[i]: t.elements[x] for i, x in enumerate(image)}
+                    assert verify_embedding(Embedding(p, t, mapping))
+        assert found > 0
+
+    def test_named_failures(self):
+        two_chain, t = chain(2), chain(3)
+        assert _preserves_order(two_chain, t, [0, 2])
+        assert not _preserves_order(two_chain, t, [1, 1])  # not injective
+        assert not _preserves_order(two_chain, antichain(2), [0, 1])  # drops c0 < c1
+        assert not _preserves_order(antichain(2), t, [0, 1])  # adds a0 < a1
 
 
 class TestTargetTablesCache:

@@ -161,16 +161,16 @@ class TestVerifyProposition:
         assert 0 < info.misses <= 5 and info.hits > 100
 
     def test_one_minimality_refutation_per_reduced_tame_poset(self, monkeypatch):
-        # one search per poset (embed-tame or embed-nontame), plus one
-        # refutation on each of the 120 reduced tame ones
-        real = enumeration.find_embedding
+        # one existence check per poset (embed-tame or embed-nontame), plus
+        # one refutation on each of the 120 reduced tame ones
+        real = enumeration._embeds
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(enumeration, "find_embedding", counted)
+        monkeypatch.setattr(enumeration, "_embeds", counted)
         assert verify_proposition(4).ok
         assert len(calls) == 219 + 120
 
@@ -252,11 +252,11 @@ class TestEverySweepCheckFires:
     """
 
     def test_no_embedding_fails_embed_tame(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "find_embedding", lambda *a, **k: None)
+        monkeypatch.setattr(enumeration, "_embeds", lambda *a, **k: False)
         assert fired(verify_proposition(4)) == {"embed-tame": 207}
 
     def test_any_embedding_fails_embed_nontame_and_minimality(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "find_embedding", lambda *a, **k: True)
+        monkeypatch.setattr(enumeration, "_embeds", lambda *a, **k: True)
         assert fired(verify_proposition(4)) == {"embed-nontame": 12, "minimality": 120}
 
     def test_comparable_down_sets_fail_comparability(self, monkeypatch):
