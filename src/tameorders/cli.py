@@ -9,11 +9,13 @@ error or -h/--help; diagnostics go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 from . import enumeration, tame, templates
 from .embedding import pattern_r22, pattern_s_n2
@@ -153,7 +155,8 @@ def _cmd_verify(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise InvalidParameter(f"node budget must be nonnegative, got {args.budget}")
     if args.seed is not None and args.samples is None:
-        args.parser.error("argument --seed: requires --samples")
+        # argparse has no rule for one option requiring another
+        _usage_error("verify", "argument --seed: requires --samples")
     if args.samples is not None:
         report = enumeration.verify_sampled(
             args.n, args.samples, args.seed or 0, budget=args.budget
@@ -195,59 +198,177 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1; argparse's own 2 means a budget overrun here."""
+class _Option(NamedTuple):
+    """One argument of a verb, as argparse's ``add_argument`` takes it.
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+    A ``flag`` without a leading dash names a positional.  ``nargs`` is the
+    number of values the option takes: 0 for a flag that stores True, 3 for
+    ``--random``'s list.  Each value goes through ``type``.
+    """
 
+    flag: str
+    type: Callable[[str], object] = int
+    nargs: int = 1
+    metavar: str | tuple[str, ...] | None = None
+    help: str | None = None
+    required: bool = False
+    exclusive: bool = False  # one of the verb's exactly-one group
+    requires: str | None = None  # dest of an option that must be given too
 
-def _file_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--budget", type=int, default=None, metavar="NODES",
-        help="cap embedding-search nodes (exceeding exits 2)",
-    )
-    p.add_argument("--samples", type=int, default=None, metavar="K")
-    p.add_argument(
-        "--seed", type=int, default=None, metavar="S",
-        help="sampler seed (default 0); requires --samples",
-    )
-    p.set_defaults(parser=p)
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
 
 
-def _gen_args(p: argparse.ArgumentParser) -> None:
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--r-lambda", type=int, metavar="L")
-    which.add_argument("--s-n2", type=int, metavar="N")
-    which.add_argument("--r22", action="store_true")
-    which.add_argument("--cummings", type=int, metavar="O")
-    which.add_argument("--random", nargs=3, metavar=("N", "P", "SEED"))
+_JSON = _Option("--json", nargs=0, help="emit one JSON document on stdout")
+_FILE_ARGS = (_JSON, _Option("file", str))
 
-
-# verb -> (help, handler, adder of the verb's own arguments), in usage order
+# verb -> (help, handler, arguments), in usage order
 _VERBS = {
-    "check": ("tameness verdict", _cmd_check, _file_args),
-    "rank": ("tame rank", _cmd_rank, _file_args),
-    "embed": ("canonical coordinate embedding", _cmd_embed, _file_args),
-    "reduce": ("signature quotient and class map", _cmd_reduce, _file_args),
-    "realize": ("restriction of an inflated template", _cmd_realize, _file_args),
-    "verify": ("oracle sweep over small posets", _cmd_verify, _verify_args),
-    "gen": ("write a poset to stdout", _cmd_gen, _gen_args),
+    "check": ("tameness verdict", _cmd_check, _FILE_ARGS),
+    "rank": ("tame rank", _cmd_rank, _FILE_ARGS),
+    "embed": ("canonical coordinate embedding", _cmd_embed, _FILE_ARGS),
+    "reduce": ("signature quotient and class map", _cmd_reduce, _FILE_ARGS),
+    "realize": ("restriction of an inflated template", _cmd_realize, _FILE_ARGS),
+    "verify": (
+        "oracle sweep over small posets",
+        _cmd_verify,
+        (
+            _JSON,
+            _Option("--n", required=True),
+            _Option(
+                "--budget", metavar="NODES",
+                help="cap embedding-search nodes (exceeding exits 2)",
+            ),
+            _Option("--samples", metavar="K"),
+            _Option(
+                "--seed", metavar="S", requires="samples",
+                help="sampler seed (default 0); requires --samples",
+            ),
+        ),
+    ),
+    "gen": (
+        "write a poset to stdout",
+        _cmd_gen,
+        (
+            _JSON,
+            _Option("--r-lambda", metavar="L", exclusive=True),
+            _Option("--s-n2", metavar="N", exclusive=True),
+            _Option("--r22", nargs=0, exclusive=True),
+            _Option("--cummings", metavar="O", exclusive=True),
+            _Option("--random", str, 3, ("N", "P", "SEED"), exclusive=True),
+        ),
+    ),
 }
 
 
-def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+def _recognize(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for a well-formed ``argv``, else None.
+
+    Accepts only a verb followed by its exact option strings, each at most
+    once, with every value converted by its ``type`` and the verb's
+    required, exactly-one and requires rules met.  Declines (None) every
+    other argv, -h, abbreviations, ``--opt=value`` and ``--`` included,
+    and any positional or value that starts with a dash, so that argparse
+    alone writes help, usage and usage errors.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    verb = argv[0]
+    _, run, options = _VERBS[verb]
+    named = {opt.flag: opt for opt in options if opt.flag.startswith("-")}
+    given: dict[str, list[str]] = {}  # dest -> the words it was given
+    free: list[str] = []
+    i = 1
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if not word.startswith("-"):
+            free.append(word)
+            continue
+        opt = named.get(word)
+        if opt is None or opt.dest in given:
+            return None
+        given[opt.dest] = argv[i : i + opt.nargs]
+        i += opt.nargs
+    positionals = [opt for opt in options if opt.flag not in named]
+    if len(free) != len(positionals):
+        return None
+    given.update((opt.dest, [word]) for opt, word in zip(positionals, free))
+    exclusive = [opt.dest in given for opt in options if opt.exclusive]
+    if exclusive and sum(exclusive) != 1:
+        return None
+    values = {}
+    for opt in options:
+        words = given.get(opt.dest)
+        if words is None:
+            if opt.required:
+                return None
+            values[opt.dest] = False if opt.nargs == 0 else None
+            continue
+        if (
+            len(words) < opt.nargs
+            or any(w.startswith("-") for w in words)
+            or (opt.requires is not None and opt.requires not in given)
+        ):
+            return None
+        try:
+            converted = [opt.type(w) for w in words]
+        except ValueError:
+            return None
+        if opt.nargs == 0:
+            values[opt.dest] = True
+        else:
+            values[opt.dest] = converted[0] if opt.nargs == 1 else converted
+    return SimpleNamespace(verb=verb, **values, run=run)
+
+
+def _parser(prog: str, **kwargs):
+    """An argparse parser whose usage errors exit 1, not argparse's 2.
+
+    Exit 2 means a budget overrun here.  argparse is imported only on
+    this path: help, usage errors and argvs ``_recognize`` declines.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    return _Parser(prog=prog, **kwargs)
+
+
+def _add_options(parser, options: tuple[_Option, ...]) -> None:
+    """Add ``options`` to ``parser`` in table order."""
+    group = None
+    for opt in options:
+        kwargs: dict = {"help": opt.help}
+        if opt.nargs == 0:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs.update(type=opt.type, metavar=opt.metavar)
+            if opt.nargs != 1:
+                kwargs["nargs"] = opt.nargs
+        if opt.required:
+            kwargs["required"] = True
+        target = parser
+        if opt.exclusive:
+            group = group or parser.add_mutually_exclusive_group(required=True)
+            target = group
+        target.add_argument(opt.flag, **kwargs)
+
+
+def _usage_error(verb: str, message: str) -> NoReturn:
+    """Exit as argparse does on a usage error of ``verb``: its usage, then ``message``."""
+    parser = _parser(f"tameorders {verb}")
+    _add_options(parser, _VERBS[verb][2])
+    parser.error(message)
+
+
+def _build_parser(verb: str | None = None):
     """The parser with only ``verb``'s subparser when it names one, else all."""
-    parser = _Parser(
-        prog="tameorders",
-        description="Analyze tame finite partial orders.",
-    )
+    parser = _parser("tameorders", description="Analyze tame finite partial orders.")
     sub = parser.add_subparsers(dest="verb", required=True)
     verbs = _VERBS
     if verb in _VERBS:
@@ -255,12 +376,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         # the full parser keeps argparse's metavar for "required: verb"
         sub.metavar = "{" + ",".join(_VERBS) + "}"
         verbs = {verb: _VERBS[verb]}
-    for name, (help_text, run, add_args) in verbs.items():
+    for name, (help_text, run, options) in verbs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--json", action="store_true", help="emit one JSON document on stdout"
-        )
-        add_args(p)
+        _add_options(p, options)
         p.set_defaults(run=run)
     return parser
 
@@ -268,7 +386,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _recognize(argv)
+    if args is None:
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except NotTame as exc:

@@ -83,10 +83,10 @@ class Poset:
 
     The element tuple fixes the index order used for deterministic tie
     breaking everywhere in the library.  ``up_masks[i]`` has bit ``j`` set
-    exactly when ``elements[i] < elements[j]``; the relation handed to this
-    constructor must already be transitively closed and irreflexive.  Use
-    :func:`build_poset` to close an arbitrary generating set of pairs, and
-    :meth:`validate` to recheck the axioms of a hand-built instance.
+    exactly when ``elements[i] < elements[j]``; the constructor runs
+    :meth:`validate`, so the relation handed to it must already be a strict
+    order, transitively closed (CycleDetected or ValueError otherwise).  Use
+    :func:`build_poset` to close an arbitrary generating set of pairs.
     """
 
     __slots__ = ("elements", "up_masks", "down_masks", "_index")
@@ -101,6 +101,7 @@ class Poset:
         self.up_masks = up
         self.down_masks = _transpose(up)
         self._index = index
+        self.validate()
 
     @classmethod
     def _trusted(

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -834,6 +835,116 @@ class TestParserPerVerb:
                         f"error: unrecognized arguments: --budget {budget}\n"
                     ), verb
 
+
+
+def verify_forms():
+    """Every well-formed verify argv over --n 3 and four optional options, in every order."""
+    groups = [["--json"], ["--budget", "500"], ["--samples", "2"], ["--seed", "1"]]
+    for k in range(len(groups) + 1):
+        for chosen in itertools.combinations(groups, k):
+            if ["--seed", "1"] in chosen and ["--samples", "2"] not in chosen:
+                continue
+            for order in itertools.permutations([["--n", "3"], *chosen]):
+                yield ["verify", *itertools.chain(*order)]
+
+
+GEN_FORMS = [
+    ["--r-lambda", "3"], ["--s-n2", "2"], ["--r22"], ["--cummings", "2"],
+    ["--random", "5", "0.3", "1"],
+]
+
+# well-formed argvs: the recognizer answers them without argparse
+VALID_ARGVS = [
+    *([verb, *rest] for verb in FILE_VERBS
+      for rest in (["FILE"], ["--json", "FILE"], ["FILE", "--json"], ["R22"])),
+    *verify_forms(),
+    *(["gen", *rest] for form in GEN_FORMS for rest in (form, ["--json", *form], [*form, "--json"])),
+    ["check", ""], ["gen", "--random", "", "", ""], ["verify", "--n", " 3 "],
+    ["verify", "--n", "1_0", "--samples", "2"],
+]
+
+# each kind of argv the recognizer leaves to argparse
+DECLINED_ARGVS = [
+    # help
+    ["check", "--help", "FILE"], ["verify", "--n", "3", "-h"], ["gen", "--r22", "--help"],
+    # abbreviations and --opt=value
+    ["check", "--js", "FILE"], ["verify", "--n", "3", "--samp", "2"], ["gen", "--r-l", "3"],
+    ["verify", "--n=3"], ["gen", "--s-n2=2"], ["check", "--json=1", "FILE"],
+    # --
+    ["check", "--", "FILE"], ["verify", "--n", "3", "--", "--json"], ["gen", "--r22", "--"],
+    # a repeated option
+    ["check", "--json", "--json", "FILE"], ["verify", "--n", "3", "--n", "4"],
+    ["gen", "--r22", "--r22"], ["gen", "--s-n2", "2", "--s-n2", "3"],
+    # a positional or value that starts with a dash
+    ["check", "-"], ["check", "-1"], ["verify", "--n", "3", "--budget", "-1"],
+    ["verify", "--n", "-2"], ["gen", "--random", "5", "0.3", "-1"], ["verify", "--n", "--json"],
+    # a missing value or a wrong positional count
+    ["verify", "--n"], ["gen", "--random", "5", "0.3"], ["check"], ["check", "FILE", "R22"],
+    ["verify", "--n", "3", "extra"], ["gen", "--r22", "extra"],
+    # a value its converter rejects
+    ["verify", "--n", "x"], ["verify", "--n", "3", "--samples", "2.5"], ["gen", "--cummings", ""],
+    # a missing required option, or --seed without --samples
+    ["verify", "--json"], ["verify", "--samples", "2"], ["verify", "--n", "3", "--seed", "7"],
+    # gen without exactly one of its group
+    ["gen"], ["gen", "--json"], ["gen", "--r22", "--s-n2", "2"],
+    # no verb
+    [], ["--json", "check", "FILE"], ["chk", "FILE"],
+]
+
+
+def declining(argv):
+    return None
+
+
+class TestRecognizer:
+    """Well-formed argvs skip argparse; every outcome is argparse's."""
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS + VALID_ARGVS + DECLINED_ARGVS, ids=" ".join)
+    def test_same_outcome_without_recognizer(self, argv, corpus_files, monkeypatch):
+        argv = [corpus_files.get(arg, arg) for arg in argv]
+        got = outcome(argv)
+        monkeypatch.setattr(cli, "_recognize", declining)
+        assert got == outcome(argv)
+
+    def test_same_namespace_as_argparse(self):
+        for argv in VALID_ARGVS:
+            recognized = cli._recognize(argv)
+            assert recognized is not None, argv
+            assert vars(recognized) == vars(cli._build_parser(argv[0]).parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", DECLINED_ARGVS, ids=" ".join)
+    def test_declines(self, argv):
+        assert cli._recognize(argv) is None
+
+    def test_valid_corpus_reaches_every_verb(self):
+        assert {argv[0] for argv in VALID_ARGVS} == set(VERBS)
+
+    def test_benchmark_shapes_build_no_parser(self, corpus_files, monkeypatch):
+        shapes = [
+            ["check", "--json", corpus_files["FILE"]],
+            ["verify", "--json", "--n", "5"],
+            ["verify", "--json", "--n", "7", "--samples", "6", "--seed", "3"],
+        ]
+        expected = [outcome(argv) for argv in shapes]
+
+        def no_parser(verb=None):
+            raise AssertionError("argparse parser built")
+
+        monkeypatch.setattr(cli, "_build_parser", no_parser)
+        for argv, want in zip(shapes, expected):
+            code, out, err = got = outcome(argv)
+            assert (code, err) == (0, ""), argv
+            assert json.loads(out)
+            assert got == want
+
+    def test_seed_error_prints_the_verify_usage(self):
+        # _cmd_verify raises this one usage error itself, through the table
+        _, _, seed_err = outcome(["verify", "--n", "3", "--seed", "7"])
+        _, _, missing_err = outcome(["verify", "--json"])
+        usage, _, message = seed_err.partition("tameorders verify: error: ")
+        assert message == "argument --seed: requires --samples\n"
+        assert usage == missing_err.partition("tameorders verify: error: ")[0]
+        assert usage.startswith("usage: tameorders verify [-h] [--json] --n N")
 
 def test_module_entry_point_reads_sys_argv(corpus_files):
     src = str(Path(tameorders.__file__).parents[1])

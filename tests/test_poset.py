@@ -280,10 +280,21 @@ class TestValidate:
                 forged.validate()
 
     def test_cycles_named(self):
+        # forged past the constructor, which runs the same checks
+        loop = Poset._trusted(("a",), (0b1,), (0b1,), {"a": 0})
         with pytest.raises(CycleDetected, match="'a' below itself"):
-            Poset(["a"], [0b1]).validate()
+            loop.validate()
+        two_cycle = Poset._trusted(("a", "b"), (0b10, 0b01), (0b10, 0b01), {"a": 0, "b": 1})
         with pytest.raises(CycleDetected, match="'a' and 'b' below each other"):
-            Poset(["a", "b"], [0b10, 0b01]).validate()
+            two_cycle.validate()
+
+    def test_constructor_checks_the_order(self):
+        # the public constructor refuses what validate refuses, at once
+        with pytest.raises(CycleDetected, match="'a' and 'b' below each other"):
+            Poset(["a", "b"], [0b10, 0b01])
+        with pytest.raises(CycleDetected, match="'a' below itself"):
+            Poset(["a"], [0b1])
+        assert Poset(["c0", "c1", "c2"], [0b110, 0b100, 0]) == chain(3)
 
     def test_constructor_rejects_bad_masks(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -304,9 +315,8 @@ class TestValidate:
         # e0 < e1 < e2 only: sparse rows, read bit by bit
         sparse_up = [0b10, 0b100] + [0] * (n - 2)
         for up, message in [(chain_up, "'e0' < 'e1' < 'e69'"), (sparse_up, "'e0' < 'e1' < 'e2'")]:
-            p = Poset(labels, up)
             with pytest.raises(ValueError, match=f"not transitive at {message}"):
-                p.validate()
+                Poset(labels, up)
 
 
 def oracle_masks(labels, above, below):

@@ -4,8 +4,8 @@ A failing test is reported, not fatal; the public names are exactly the
 listed ones, as many as README says, and so are each CLI verb's options;
 the public records are read-only tuples of their fields, with the facts
 derived from those fields as read-only properties; no module imports a
-name it never uses, and importing the CLI loads neither ``dataclasses``
-nor ``inspect``.
+name it never uses, and importing the CLI loads none of ``dataclasses``,
+``inspect``, ``argparse`` and ``gettext``.
 """
 
 import argparse
@@ -211,15 +211,17 @@ IMPORT_ADDS = (
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # each CLI run is a fresh process; these two alone once took about half
-    # of its import time
+    # each CLI run is a fresh process; dataclasses and inspect alone once
+    # took about half of its import time, and argparse (with gettext) is
+    # loaded only for help and usage errors
     run = subprocess.run(
         [sys.executable, "-c", IMPORT_ADDS, str(PACKAGE.parent)],
         capture_output=True, text=True, check=True,
     )
     added = set(run.stdout.split())
     assert "tameorders.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext"}
+    assert added.isdisjoint(unwanted), sorted(added & unwanted)
 
 
 def unused_imports(source: str) -> list[str]:
