@@ -49,7 +49,6 @@ from .tame import (
     d_comparable,
     is_reduced,
     is_tame,
-    minimal_rank_bruteforce,
     reduce,
     tame_rank,
     u_comparable,
@@ -99,7 +98,6 @@ __all__ = [
     "is_isomorphic",
     "is_reduced",
     "is_tame",
-    "minimal_rank_bruteforce",
     "order_pair_label",
     "parse_order_pair",
     "parse_poset",

@@ -155,7 +155,8 @@ def _cmd_verify(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise InvalidParameter(f"node budget must be nonnegative, got {args.budget}")
     if args.seed is not None and args.samples is None:
-        # argparse has no rule for one option requiring another
+        # argparse has no rule for one option requiring another, so the
+        # rule lives here alone: the recognizer accepts this argv too
         _usage_error("verify", "argument --seed: requires --samples")
     if args.samples is not None:
         report = enumeration.verify_sampled(
@@ -213,7 +214,6 @@ class _Option(NamedTuple):
     help: str | None = None
     required: bool = False
     exclusive: bool = False  # one of the verb's exactly-one group
-    requires: str | None = None  # dest of an option that must be given too
 
     @property
     def dest(self) -> str:
@@ -242,7 +242,7 @@ _VERBS = {
             ),
             _Option("--samples", metavar="K"),
             _Option(
-                "--seed", metavar="S", requires="samples",
+                "--seed", metavar="S",
                 help="sampler seed (default 0); requires --samples",
             ),
         ),
@@ -267,7 +267,7 @@ def _recognize(argv: list[str]) -> SimpleNamespace | None:
 
     Accepts only a verb followed by its exact option strings, each at most
     once, with every value converted by its ``type`` and the verb's
-    required, exactly-one and requires rules met.  Declines (None) every
+    required and exactly-one rules met.  Declines (None) every
     other argv, -h, abbreviations, ``--opt=value`` and ``--`` included,
     and any positional or value that starts with a dash, so that argparse
     alone writes help, usage and usage errors.
@@ -306,11 +306,7 @@ def _recognize(argv: list[str]) -> SimpleNamespace | None:
                 return None
             values[opt.dest] = False if opt.nargs == 0 else None
             continue
-        if (
-            len(words) < opt.nargs
-            or any(w.startswith("-") for w in words)
-            or (opt.requires is not None and opt.requires not in given)
-        ):
+        if len(words) < opt.nargs or any(w.startswith("-") for w in words):
             return None
         try:
             converted = [opt.type(w) for w in words]
@@ -366,17 +362,11 @@ def _usage_error(verb: str, message: str) -> NoReturn:
     parser.error(message)
 
 
-def _build_parser(verb: str | None = None):
-    """The parser with only ``verb``'s subparser when it names one, else all."""
+def _build_parser():
+    """The argparse parser of every verb, built from ``_VERBS``."""
     parser = _parser("tameorders", description="Analyze tame finite partial orders.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = _VERBS
-    if verb in _VERBS:
-        # trailing extras print the top-level usage, which lists every verb;
-        # the full parser keeps argparse's metavar for "required: verb"
-        sub.metavar = "{" + ",".join(_VERBS) + "}"
-        verbs = {verb: _VERBS[verb]}
-    for name, (help_text, run, options) in verbs.items():
+    for name, (help_text, run, options) in _VERBS.items():
         p = sub.add_parser(name, help=help_text)
         _add_options(p, options)
         p.set_defaults(run=run)
@@ -388,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _recognize(argv)
     if args is None:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except NotTame as exc:

@@ -245,11 +245,7 @@ def _embeds(
 
 
 def find_embedding(
-    pattern: Poset,
-    target: Poset,
-    *,
-    budget: int | None = None,
-    _first: Sequence[int] = (),
+    pattern: Poset, target: Poset, *, budget: int | None = None
 ) -> Embedding | None:
     """Least two-way embedding of ``pattern`` into ``target``, or None.
 
@@ -266,11 +262,11 @@ def find_embedding(
     returned.  ``budget`` caps the nodes across both passes, a node being
     one assignment consistent with every earlier one (BudgetExceeded rather
     than a wrong answer); a negative budget is an InvalidParameter.
-    Questions that need no witness (the sweep's checks, ``is_isomorphic``,
-    ``minimal_rank_bruteforce``) stop after the first pass.
+    Questions that need no witness (the sweep's checks, ``is_isomorphic``)
+    stop after the first pass.
     """
     shared = _Budget(budget)
-    if not _decide(pattern, target, shared, _first):
+    if not _decide(pattern, target, shared, ()):
         return None
     image = _search(pattern, list(range(len(pattern))), _target_tables(target), shared)
     if image is None:

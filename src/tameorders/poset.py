@@ -6,7 +6,7 @@ import itertools
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from operator import itemgetter
 
-from .errors import CycleDetected, DuplicateElement, UnknownElement
+from .errors import CycleDetected, DuplicateElement, InvalidParameter, UnknownElement
 
 Label = Hashable
 
@@ -61,8 +61,6 @@ def _transpose(up: tuple[int, ...]) -> tuple[int, ...]:
         holders[mask] = holders.get(mask, 0) | 1 << i
     down = [0] * n
     for mask, below in holders.items():
-        if mask >> n:
-            raise ValueError("up mask refers to an element index out of range")
         for j in at_set_bits(range(n), mask):
             down[j] |= below
     return tuple(down)
@@ -83,9 +81,11 @@ class Poset:
 
     The element tuple fixes the index order used for deterministic tie
     breaking everywhere in the library.  ``up_masks[i]`` has bit ``j`` set
-    exactly when ``elements[i] < elements[j]``; the constructor runs
-    :meth:`validate`, so the relation handed to it must already be a strict
-    order, transitively closed (CycleDetected or ValueError otherwise).  Use
+    exactly when ``elements[i] < elements[j]``.  The constructor takes only
+    a closed strict order: one ``int`` mask per element, over element
+    indices, irreflexive, antisymmetric and transitive.  It raises
+    CycleDetected on a self-loop or a 2-cycle and InvalidParameter on
+    anything else, naming the least failing element.  Use
     :func:`build_poset` to close an arbitrary generating set of pairs.
     """
 
@@ -95,13 +95,45 @@ class Poset:
         elements = tuple(elements)
         index = _index_of(elements)
         up = tuple(up_masks)
-        if len(up) != len(elements):
-            raise ValueError("one up mask per element required")
+        n = len(elements)
+        if len(up) != n:
+            raise InvalidParameter(
+                f"one up mask per element required, got {len(up)} for {n} elements"
+            )
+        for x, mask in zip(elements, up):
+            if not isinstance(mask, int):
+                raise InvalidParameter(f"up mask of {x!r} is not an int: {mask!r}")
+            if mask >> n:
+                raise InvalidParameter(
+                    f"up mask of {x!r} refers to an element index out of range"
+                )
+        down = _transpose(up)
+        for i, (x, mask) in enumerate(zip(elements, up)):
+            if mask >> i & 1:
+                raise CycleDetected(f"{x!r} below itself")
+            if mask & down[i]:
+                j = next(iter_bits(mask & down[i]))
+                raise CycleDetected(f"{x!r} and {elements[j]!r} below each other")
+        # transitive iff the up masks of u's members lie inside u, per distinct u
+        checked: set[int] = set()
+        for x, mask in zip(elements, up):
+            if mask in checked:
+                continue
+            checked.add(mask)
+            reach = 0
+            for row in at_set_bits(up, mask):
+                reach |= row
+            if reach & ~mask:
+                j = next(j for j in iter_bits(mask) if up[j] & ~mask)
+                k = next(iter_bits(up[j] & ~mask))
+                raise InvalidParameter(
+                    f"relation not transitive at "
+                    f"{x!r} < {elements[j]!r} < {elements[k]!r}"
+                )
         self.elements = elements
         self.up_masks = up
-        self.down_masks = _transpose(up)
+        self.down_masks = down
         self._index = index
-        self.validate()
 
     @classmethod
     def _trusted(
@@ -114,7 +146,8 @@ class Poset:
         """Instance from distinct labels, their index dict and closed masks.
 
         Skips every check and the transpose: the caller guarantees that
-        ``down`` is the transpose of ``up``, which :meth:`validate` rechecks.
+        ``up`` is a closed strict order and ``down`` its transpose, which
+        rebuilding the instance through the constructor rechecks.
         """
         self = object.__new__(cls)
         self.elements = elements
@@ -168,49 +201,6 @@ class Poset:
     @property
     def num_relations(self) -> int:
         return sum(mask.bit_count() for mask in self.up_masks)
-
-    def validate(self) -> None:
-        """Recheck the masks and the order axioms; raise on failure.
-
-        The down masks must be exactly the transpose of the up masks, and the
-        relation irreflexive, antisymmetric and transitive.  Transitivity is
-        checked once per distinct up mask u: the up masks of u's members
-        must all lie inside u.  Errors name the least failing index.
-        """
-        n = len(self)
-        up, down = self.up_masks, self.down_masks
-        if len(up) != n or len(down) != n:
-            raise ValueError("one up mask and one down mask per element required")
-        transpose = _transpose(up)
-        for x, have, want in zip(self.elements, down, transpose):
-            if have != want:
-                raise ValueError(
-                    f"down mask of {x!r} is not the transpose of the up masks"
-                )
-        for i in range(n):
-            mask = up[i]
-            if mask >> i & 1:
-                raise CycleDetected(f"{self.elements[i]!r} below itself")
-            if mask & down[i]:
-                j = next(iter_bits(mask & down[i]))
-                raise CycleDetected(
-                    f"{self.elements[i]!r} and {self.elements[j]!r} below each other"
-                )
-        checked: set[int] = set()
-        for i, mask in enumerate(up):
-            if mask in checked:
-                continue
-            checked.add(mask)
-            reach = 0
-            for row in at_set_bits(up, mask):
-                reach |= row
-            if reach & ~mask:
-                j = next(j for j in iter_bits(mask) if up[j] & ~mask)
-                k = next(iter_bits(up[j] & ~mask))
-                raise ValueError(
-                    f"relation not transitive at "
-                    f"{self.elements[i]!r} < {self.elements[j]!r} < {self.elements[k]!r}"
-                )
 
 
 def build_poset(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embedding import Embedding, _embeds, embeds_r22
+from .embedding import Embedding, embeds_r22
 from .errors import InternalInvariantViolation, NotReduced, NotTame
 from .poset import Label, Poset, is_chain, restrict
 from .templates import _masks_above, order_pair_label, r_lambda
@@ -157,24 +157,6 @@ def canonical_embedding(p: Poset) -> Embedding:
     rank, ms, Ms = _reduced_coordinates(p)
     mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}
     return Embedding(p, r_lambda(rank), mapping)
-
-
-def minimal_rank_bruteforce(p: Poset, *, budget: int | None = None) -> int:
-    """Least lam such that p embeds into the lam template, by ascending search.
-
-    The definition-level oracle for the tame rank of a reduced tame poset:
-    it tries every width 0, 1, ... in turn, each by the one-pass existence
-    check, whose found image is verified before it counts.  There is no
-    size limit; the searches grow steeply with long chains, and ``budget``
-    bounds each one (BudgetExceeded when a search overruns it).
-    """
-    _require_tame(p)
-    if not is_reduced(p):
-        raise NotReduced("minimal rank search wants a reduced poset")
-    for lam in range(len(p) + 1):
-        if _embeds(p, r_lambda(lam), budget=budget):
-            return lam
-    raise InternalInvariantViolation("reduced tame poset embedded nowhere")
 
 
 def check_claim_inequalities(p: Poset) -> bool:

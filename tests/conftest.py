@@ -13,7 +13,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from tameorders import Poset, build_poset, tame
+from tameorders import Poset, build_poset, find_embedding, r_lambda, tame
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -28,6 +28,27 @@ def chain(n: int) -> Poset:
 
 def antichain(n: int) -> Poset:
     return build_poset([f"a{i}" for i in range(n)], [])
+
+
+def assert_order(p: Poset) -> None:
+    """Rebuild ``p`` through the checking constructor: its down masks must agree.
+
+    The library builds its posets past the constructor's checks, from masks
+    it closed or transposed itself; this rechecks such a construction.
+    """
+    assert Poset(p.elements, p.up_masks).down_masks == p.down_masks
+
+
+def oracle_minimal_rank(p: Poset, budget: int | None = None) -> int:
+    """Least lam such that p embeds two-way into ``r_lambda(lam)``, width by width.
+
+    The definition of the tame rank of a reduced tame poset, asked of the
+    public search; ``budget`` bounds each search (BudgetExceeded past it).
+    """
+    for lam in range(len(p) + 1):
+        if find_embedding(p, r_lambda(lam), budget=budget) is not None:
+            return lam
+    raise AssertionError("no template up to the poset's size hosts it")
 
 
 def oracle_quartet_r22(p: Poset):

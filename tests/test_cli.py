@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import itertools
@@ -782,15 +781,7 @@ def corpus_files(tmp_path_factory):
 
 
 class TestParserPerVerb:
-    """main builds only the invoked verb's subparser, with the same behaviour."""
-
-    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
-    def test_same_as_full_parser(self, argv, corpus_files, monkeypatch):
-        argv = [corpus_files.get(arg, arg) for arg in argv]
-        got = outcome(argv)
-        full = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda verb=None: full())
-        assert got == outcome(argv)
+    """The usage corpus covers every verb, and each verb refuses what it does not take."""
 
     def test_corpus_covers_every_verb(self):
         for verb in VERBS:
@@ -799,18 +790,41 @@ class TestParserPerVerb:
             assert any("--bogus" in case for case in cases)
             assert any("extra" in case for case in cases)
 
-    def test_one_subparser_per_verb(self):
-        def choices(parser):
-            (sub,) = [
-                action for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction)
-            ]
-            return list(sub.choices)
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_usage_matches_the_help(self, argv, corpus_files):
+        # a usage error prints the usage of the parser that names itself in
+        # the error line, the same block that parser's -h opens with; the
+        # top-level usage lists every verb; the verbs that run print per the
+        # exit-code contract
+        code, out, err = outcome([corpus_files.get(arg, arg) for arg in argv])
+        own = ["tameorders", *argv[:1]] if argv[:1] and argv[0] in VERBS else ["tameorders"]
+        if code == ("exit", cli.EXIT_INPUT):
+            rest, sep, message = err.rpartition(": error: ")
+            usage, _, prog = rest.rpartition("\n")
+            assert (out, sep, message.count("\n")) == ("", ": error: ", 1), err
+            assert prog in {"tameorders", " ".join(own)}, err
+            help_out = outcome([*prog.split()[1:], "-h"])[1]
+            assert usage == help_out.partition("\n\n")[0], err
+        elif code == ("exit", 0):
+            assert err == "", err
+            assert out.startswith(f"usage: {' '.join(own)} [-h]"), out
+        else:
+            assert code in {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_BUDGET, cli.EXIT_NEGATIVE}
+            assert code != cli.EXIT_OK or err == "", err
+            if "--json" in argv:
+                assert out.count("\n") == 1 and json.loads(out), out
+        if (err or out).startswith("usage: tameorders [-h]"):
+            assert "{" + ",".join(VERBS) + "}" in (err or out).partition("\n\n")[0]
 
-        for verb in VERBS:
-            assert choices(cli._build_parser(verb)) == [verb]
-        assert choices(cli._build_parser()) == list(VERBS)
-        assert choices(cli._build_parser("bogus")) == list(VERBS)
+    def test_one_subparser_per_verb(self):
+        import argparse
+
+        (sub,) = [
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == list(VERBS)
+        assert [sub.choices[verb].prog for verb in VERBS] == [f"tameorders {v}" for v in VERBS]
 
     def test_negative_budget_rejected_by_every_verb(self, corpus_files):
         # verify, the one verb that searches, refuses a negative budget as an
@@ -861,6 +875,8 @@ VALID_ARGVS = [
     *(["gen", *rest] for form in GEN_FORMS for rest in (form, ["--json", *form], [*form, "--json"])),
     ["check", ""], ["gen", "--random", "", "", ""], ["verify", "--n", " 3 "],
     ["verify", "--n", "1_0", "--samples", "2"],
+    # recognized; the verb itself refuses --seed without --samples
+    ["verify", "--n", "3", "--seed", "7"],
 ]
 
 # each kind of argv the recognizer leaves to argparse
@@ -883,8 +899,8 @@ DECLINED_ARGVS = [
     ["verify", "--n", "3", "extra"], ["gen", "--r22", "extra"],
     # a value its converter rejects
     ["verify", "--n", "x"], ["verify", "--n", "3", "--samples", "2.5"], ["gen", "--cummings", ""],
-    # a missing required option, or --seed without --samples
-    ["verify", "--json"], ["verify", "--samples", "2"], ["verify", "--n", "3", "--seed", "7"],
+    # a missing required option
+    ["verify", "--json"], ["verify", "--samples", "2"],
     # gen without exactly one of its group
     ["gen"], ["gen", "--json"], ["gen", "--r22", "--s-n2", "2"],
     # no verb
@@ -910,7 +926,7 @@ class TestRecognizer:
         for argv in VALID_ARGVS:
             recognized = cli._recognize(argv)
             assert recognized is not None, argv
-            assert vars(recognized) == vars(cli._build_parser(argv[0]).parse_args(argv)), argv
+            assert vars(recognized) == vars(cli._build_parser().parse_args(argv)), argv
 
     @pytest.mark.parametrize("argv", DECLINED_ARGVS, ids=" ".join)
     def test_declines(self, argv):
@@ -927,7 +943,7 @@ class TestRecognizer:
         ]
         expected = [outcome(argv) for argv in shapes]
 
-        def no_parser(verb=None):
+        def no_parser():
             raise AssertionError("argparse parser built")
 
         monkeypatch.setattr(cli, "_build_parser", no_parser)

@@ -20,7 +20,7 @@ from tameorders import (
 
 from tameorders.embedding import _target_tables
 
-from conftest import antichain, chain, oracle_posets_by_filter
+from conftest import antichain, assert_order, chain, oracle_posets_by_filter
 
 
 class TestAllLabeledPosets:
@@ -51,13 +51,13 @@ class TestAllLabeledPosets:
 
     def test_all_validate(self):
         for p in all_labeled_posets(4):
-            p.validate()
+            assert_order(p)
             assert p.elements == ("0", "1", "2", "3")
 
     def test_every_five_point_poset_validates(self):
         # the down masks are grown alongside the up masks, not transposed
         for p in all_labeled_posets(5):
-            p.validate()
+            assert_order(p)
 
     def test_closed_under_relabeling(self):
         family = {p.up_masks for p in all_labeled_posets(3)}
@@ -108,7 +108,7 @@ class TestRandomPoset:
 
     def test_always_valid(self):
         for seed in range(10):
-            random_poset(7, 0.4, seed).validate()
+            assert_order(random_poset(7, 0.4, seed))
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter, match="element count must be nonnegative"):

@@ -6,6 +6,7 @@ from hypothesis import given
 from tameorders import (
     CycleDetected,
     DuplicateElement,
+    InvalidParameter,
     Poset,
     UnknownElement,
     build_poset,
@@ -24,6 +25,7 @@ from tameorders.poset import _dense, at_set_bits
 
 from conftest import (
     antichain,
+    assert_order,
     chain,
     oracle_closure,
     oracle_longest_chain,
@@ -65,7 +67,7 @@ class TestBuildPoset:
     def test_input_need_not_be_closed(self):
         p = build_poset(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
         assert p.less("a", "d")
-        p.validate()
+        assert_order(p)
 
 
 class TestClosureOracle:
@@ -266,41 +268,49 @@ class TestIsomorphism:
         assert not is_isomorphic(p, q)
 
 
-class TestValidate:
+class TestConstructor:
     @given(posets())
-    def test_generated_posets_validate(self, p):
-        p.validate()
+    def test_generated_posets_rebuild(self, p):
+        assert_order(p)
 
-    def test_down_masks_must_be_the_transpose(self):
+    def test_forged_down_masks_fail_the_rebuild(self):
         p = build_poset(list("abc"), [("a", "b"), ("b", "c")])
         assert p.down_masks == (0, 0b001, 0b011)
         for down in [(0, 0b001, 0b001), (0b100, 0b001, 0b011), (0, 0b001)]:
             forged = Poset._trusted(p.elements, p.up_masks, down, dict(p._index))
-            with pytest.raises(ValueError):
-                forged.validate()
-
-    def test_cycles_named(self):
-        # forged past the constructor, which runs the same checks
-        loop = Poset._trusted(("a",), (0b1,), (0b1,), {"a": 0})
-        with pytest.raises(CycleDetected, match="'a' below itself"):
-            loop.validate()
-        two_cycle = Poset._trusted(("a", "b"), (0b10, 0b01), (0b10, 0b01), {"a": 0, "b": 1})
-        with pytest.raises(CycleDetected, match="'a' and 'b' below each other"):
-            two_cycle.validate()
+            with pytest.raises(AssertionError):
+                assert_order(forged)
 
     def test_constructor_checks_the_order(self):
-        # the public constructor refuses what validate refuses, at once
         with pytest.raises(CycleDetected, match="'a' and 'b' below each other"):
             Poset(["a", "b"], [0b10, 0b01])
         with pytest.raises(CycleDetected, match="'a' below itself"):
             Poset(["a"], [0b1])
         assert Poset(["c0", "c1", "c2"], [0b110, 0b100, 0]) == chain(3)
 
-    def test_constructor_rejects_bad_masks(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Poset(["a"], [0b10])
-        with pytest.raises(ValueError, match="one up mask per element"):
-            Poset(["a", "b"], [0])
+    def test_refuses_masks_that_are_not_ints(self):
+        for elements, up, named in [
+            (["a"], ["x"], "'a'"), (["a"], [1.5], "'a'"), (["a", "b"], [0b10, None], "'b'"),
+        ]:
+            with pytest.raises(InvalidParameter, match=f"up mask of {named} is not an int"):
+                Poset(elements, up)
+
+    def test_refuses_masks_out_of_range(self):
+        for up, named in [([0b10], "'a'"), ([0b10, 0b100], "'b'"), ([-1, 0], "'a'")]:
+            with pytest.raises(InvalidParameter, match=f"up mask of {named} .* out of range"):
+                Poset(["a", "b"][: len(up)], up)
+
+    def test_refuses_a_wrong_mask_count(self):
+        for up in ([0], [0, 0, 0]):
+            with pytest.raises(InvalidParameter, match="one up mask per element"):
+                Poset(["a", "b"], up)
+
+    def test_refuses_non_transitive_relations(self):
+        # a < b < c without a < c, with the names in index order and not
+        with pytest.raises(InvalidParameter, match="not transitive at 'a' < 'b' < 'c'"):
+            Poset(list("abc"), [0b010, 0b100, 0])
+        with pytest.raises(InvalidParameter, match="not transitive at 'b' < 'c' < 'a'"):
+            Poset(list("abc"), [0, 0b100, 0b001])
 
     def test_unhashable_label_is_unknown(self):
         with pytest.raises(UnknownElement, match="unhashable"):
@@ -315,7 +325,7 @@ class TestValidate:
         # e0 < e1 < e2 only: sparse rows, read bit by bit
         sparse_up = [0b10, 0b100] + [0] * (n - 2)
         for up, message in [(chain_up, "'e0' < 'e1' < 'e69'"), (sparse_up, "'e0' < 'e1' < 'e2'")]:
-            with pytest.raises(ValueError, match=f"not transitive at {message}"):
+            with pytest.raises(InvalidParameter, match=f"not transitive at {message}"):
                 Poset(labels, up)
 
 
@@ -388,7 +398,7 @@ class TestMaskKernels:
     def assert_masks(self, q, labels, above, below):
         assert q.elements == tuple(labels)
         assert (q.up_masks, q.down_masks) == oracle_masks(labels, above, below)
-        q.validate()
+        assert_order(q)
 
     def test_build_poset(self, kernel_cases):
         for labels, pairs, above, below in kernel_cases.values():

@@ -20,7 +20,6 @@ from tameorders import (
     is_isomorphic,
     is_reduced,
     is_tame,
-    minimal_rank_bruteforce,
     parse_order_pair,
     pattern_r22,
     pattern_s_n2,
@@ -40,6 +39,7 @@ from conftest import (
     oracle_claim_inequalities,
     oracle_coordinates,
     oracle_longest_chain,
+    oracle_minimal_rank,
     oracle_zero_one_fishburn,
     posets,
 )
@@ -358,32 +358,28 @@ class TestCanonicalEmbedding:
 
 class TestMinimalRank:
     def test_chain(self):
-        assert minimal_rank_bruteforce(chain(3)) == 3
+        assert oracle_minimal_rank(chain(3)) == 3
 
     def test_s22(self):
-        assert minimal_rank_bruteforce(pattern_s_n2(2)) == 3
+        assert oracle_minimal_rank(pattern_s_n2(2)) == 3
 
     def test_singleton(self):
-        assert minimal_rank_bruteforce(build_poset(["x"], [])) == 1
+        assert oracle_minimal_rank(build_poset(["x"], [])) == 1
 
     def test_empty(self):
-        assert minimal_rank_bruteforce(build_poset([], [])) == 0
+        assert oracle_minimal_rank(build_poset([], [])) == 0
 
     def test_no_size_cap(self):
         # past the old limit of 8 elements; only the budget bounds a search
-        assert minimal_rank_bruteforce(chain(9)) == 9
+        assert oracle_minimal_rank(chain(9)) == 9
         with pytest.raises(BudgetExceeded):
-            minimal_rank_bruteforce(chain(16), budget=1000)
-
-    def test_not_reduced(self):
-        with pytest.raises(NotReduced):
-            minimal_rank_bruteforce(antichain(2))
+            oracle_minimal_rank(chain(16), budget=1000)
 
     def test_matches_tame_rank_exhaustive_small(self):
         for n in range(5):
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is None and is_reduced(p):
-                    assert minimal_rank_bruteforce(p) == tame_rank(p)
+                    assert oracle_minimal_rank(p) == tame_rank(p)
 
 
 class TestRigidityAndDuality:

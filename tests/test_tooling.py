@@ -4,7 +4,8 @@ A failing test is reported, not fatal; the public names are exactly the
 listed ones, as many as README says, and so are each CLI verb's options;
 the public records are read-only tuples of their fields, with the facts
 derived from those fields as read-only properties; no module imports a
-name it never uses, and importing the CLI loads none of ``dataclasses``,
+name it never uses, every public function or class is exported or used by
+the package, and importing the CLI loads none of ``dataclasses``,
 ``inspect``, ``argparse`` and ``gettext``.
 """
 
@@ -71,7 +72,6 @@ PUBLIC = [
     "is_isomorphic",
     "is_reduced",
     "is_tame",
-    "minimal_rank_bruteforce",
     "order_pair_label",
     "parse_order_pair",
     "parse_poset",
@@ -153,12 +153,11 @@ VERB_OPTIONS = {
 
 def test_each_verb_takes_exactly_the_listed_options():
     options = {}
+    (sub,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
     for verb in cli._VERBS:
-        parser = cli._build_parser(verb)
-        (sub,) = [
-            action for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
         actions = sub.choices[verb]._actions
         options[verb] = [flag for action in actions for flag in action.option_strings]
     assert options == VERB_OPTIONS
@@ -240,6 +239,54 @@ def unused_imports(source: str) -> list[str]:
 def test_unused_import_check_flags_only_unread_names():
     source = "from collections.abc import Sequence, Iterable\nimport os.path\nx: Iterable\n"
     assert unused_imports(source) == ["Sequence", "os"]
+
+
+def unnamed_public_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Public module-level functions and classes that nothing names, as module.name.
+
+    A definition counts as named when it is exported or when some code of
+    the package, outside the definition itself, reads it as a name or an
+    attribute or imports it.
+    """
+    found = []
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in exported:
+                continue
+            inside = {id(inner) for inner in ast.walk(node)}
+            named = any(
+                id(ref) not in inside
+                and name in (getattr(ref, "id", None), getattr(ref, "attr", None))
+                or isinstance(ref, ast.alias) and ref.name == name
+                for other in trees.values()
+                for ref in ast.walk(other)
+            )
+            if not named:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_unnamed_definition_check_flags_only_unread_names():
+    sources = {
+        "a": "def used(): pass\ndef stray(): stray()\nclass Kept: pass\ndef _private(): pass\n",
+        "b": "from .a import used\n",
+        "c": "import a\na.Kept\n",
+    }
+    assert unnamed_public_definitions(sources, set()) == ["a.stray"]
+    assert unnamed_public_definitions(sources, {"stray"}) == []
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a library function no code calls and __all__ does not list is a test
+    # oracle or dead code: it belongs in conftest.py or nowhere
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert unnamed_public_definitions(sources, set(tameorders.__all__)) == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
