@@ -28,7 +28,6 @@ from .errors import (
     DuplicateElement,
     FormatError,
     InternalInvariantViolation,
-    InvalidMultiplicity,
     InvalidParameter,
     NotReduced,
     NotTame,
@@ -44,7 +43,6 @@ from .poset import (
 from .tame import (
     ReductionResult,
     TameReport,
-    canonical_embedding,
     check_claim_inequalities,
     d_comparable,
     is_reduced,
@@ -56,8 +54,8 @@ from .tame import (
 from .templates import (
     InflatedPoint,
     RealizeResult,
+    canonical_embedding,
     cummings_blocks,
-    inflate,
     order_pair_label,
     parse_order_pair,
     r_lambda,
@@ -73,7 +71,6 @@ __all__ = [
     "FormatError",
     "InflatedPoint",
     "InternalInvariantViolation",
-    "InvalidMultiplicity",
     "InvalidParameter",
     "NotReduced",
     "NotTame",
@@ -94,7 +91,6 @@ __all__ = [
     "embeds_r22",
     "find_embedding",
     "format_poset",
-    "inflate",
     "is_isomorphic",
     "is_reduced",
     "is_tame",

@@ -109,7 +109,7 @@ def _cmd_rank(args) -> int:
 def _cmd_embed(args) -> int:
     p = _load(args.file)
     if args.json:
-        _emit_json(tame.canonical_embedding(p).to_json())
+        _emit_json(templates.canonical_embedding(p).to_json())
     else:
         # the text form prints only the coordinates, so no template is built
         _, ms, Ms = tame._reduced_coordinates(p)

@@ -21,10 +21,6 @@ class InvalidParameter(PosetError):
     """A parameter is outside its documented domain."""
 
 
-class InvalidMultiplicity(InvalidParameter):
-    """An inflation multiplicity is not a positive integer."""
-
-
 class SizeLimitExceeded(PosetError):
     """The instance is larger than the documented bound for this operation."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from operator import itemgetter
 
@@ -50,6 +51,24 @@ def is_chain(masks: Iterable[int]) -> bool:
     return all(not a & ~b for a, b in zip(unique, unique[1:]))
 
 
+def _masks_above(values: list[int], cuts: list[int]) -> tuple[int, ...]:
+    """For each cut c, the bitmask of the indices i with values[i] > c.
+
+    Each is an entry of a running OR over the distinct values, highest
+    first, found by ``bisect_right``.  The order x < y iff M(x) < m(y) has up
+    masks ``_masks_above(ms, Ms)``, which the canonical-coordinate recheck
+    compares, and down masks ``_masks_above(-Ms, -ms)``.
+    """
+    by_value: dict[int, int] = {}
+    for i, v in enumerate(values):
+        by_value[v] = by_value.get(v, 0) | 1 << i
+    distinct = sorted(by_value)
+    above = [0] * (len(distinct) + 1)  # above[k]: valued distinct[k] or more
+    for k in range(len(distinct) - 1, -1, -1):
+        above[k] = above[k + 1] | by_value[distinct[k]]
+    return tuple(above[bisect_right(distinct, c)] for c in cuts)
+
+
 def _transpose(up: tuple[int, ...]) -> tuple[int, ...]:
     """Down masks of the up masks ``up``: bit i of row j set iff bit j of row i is.
 
@@ -67,12 +86,18 @@ def _transpose(up: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _index_of(elements: tuple[Label, ...]) -> dict[Label, int]:
-    """Position of each label; DuplicateElement on a repeated one."""
+    """Position of each label; DuplicateElement on a repeated one.
+
+    InvalidParameter on an unhashable label, which no dict can index.
+    """
     index: dict[Label, int] = {}
-    for i, label in enumerate(elements):
-        if label in index:
-            raise DuplicateElement(f"duplicate element {label!r}")
-        index[label] = i
+    try:
+        for i, label in enumerate(elements):
+            if label in index:
+                raise DuplicateElement(f"duplicate element {label!r}")
+            index[label] = i
+    except TypeError:
+        raise InvalidParameter(f"element {label!r} is not hashable") from None
     return index
 
 

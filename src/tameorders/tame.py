@@ -1,4 +1,4 @@
-"""Tameness analysis: reduction, tame rank, coordinates, canonical embedding.
+"""Tameness analysis: reduction, tame rank and the canonical coordinates.
 
 A finite order is tame exactly when it avoids the two-disjoint-chains
 pattern; the infinite second forbidden pattern cannot occur at finite scale,
@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embedding import Embedding, embeds_r22
+from .embedding import embeds_r22
 from .errors import InternalInvariantViolation, NotReduced, NotTame
-from .poset import Label, Poset, is_chain, restrict
-from .templates import _masks_above, order_pair_label, r_lambda
+from .poset import Label, Poset, _masks_above, is_chain, restrict
 
 
 def u_comparable(p: Poset) -> bool:
@@ -120,7 +119,7 @@ def _canonical_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
 
     The elements of one class share their coordinates.  The recheck: every
     0 <= m <= M < rank, and the up-set of x is {y : m(y) > M(x)}, as
-    ``templates._masks_above`` builds it.  Passing coordinates embed p into
+    ``poset._masks_above`` builds it.  Passing coordinates embed p into
     a template and so prove it tame; on failure the pattern scan raises
     NotTame with the witness, else InternalInvariantViolation.
     """
@@ -143,20 +142,6 @@ def _reduced_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
         _require_tame(p)
         raise NotReduced("canonical embedding wants a reduced poset")
     return _canonical_coordinates(p)
-
-
-def canonical_embedding(p: Poset) -> Embedding:
-    """Embed a reduced tame poset into the template of its tame rank.
-
-    Maps x to its rechecked coordinate pair (m(x), M(x)); passing that
-    recheck is what makes the map an embedding.  The template has
-    width r = tame rank <= len(p), with no other limit; ``embed --json`` is
-    the one CLI verb that builds it here (the sweep's searches and
-    ``RealizeResult.inflated`` build templates of their own).
-    """
-    rank, ms, Ms = _reduced_coordinates(p)
-    mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}
-    return Embedding(p, r_lambda(rank), mapping)
 
 
 def check_claim_inequalities(p: Poset) -> bool:

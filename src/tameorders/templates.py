@@ -1,25 +1,26 @@
-"""Template orders on coordinate pairs, inflation, and realization.
+"""Template orders on coordinate pairs, the canonical embedding, and realization.
 
 The template of width ``lam`` lives on the pairs (a, b) with a <= b < lam,
 ordered by (a, b) < (a2, b2) iff b < a2.  Every tame finite order arises,
 up to isomorphism, as a restriction of an inflated template.  The
 coordinates (m(x), M(x)) alone decide that restriction, so ``realize``
 builds no template; ``RealizeResult.inflated`` builds one on each access.
-Every order read off coordinates, x < y iff M(x) < m(y), the templates and
-``realize``'s restriction alike, is built by the one ``_interval_order``.
+Every order read off coordinates, x < y iff M(x) < m(y), the templates,
+the inflated template and ``realize``'s restriction alike, is built by the
+one ``_interval_order``.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import tame
 from .embedding import Embedding
-from .errors import FormatError, InvalidMultiplicity, InvalidParameter
-from .poset import Label, Poset, _index_of, at_set_bits
+from .errors import FormatError, InvalidParameter
+from .poset import Label, Poset, _index_of, _masks_above
 
 # A nonnegative int as str() writes it: ASCII digits, and no leading zero.
 _NUMERAL = re.compile(r"0|[1-9][0-9]*")
@@ -56,24 +57,6 @@ def parse_order_pair(label: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _masks_above(values: list[int], cuts: list[int]) -> tuple[int, ...]:
-    """For each cut c, the bitmask of the indices i with values[i] > c.
-
-    Each is an entry of a running OR over the distinct values, highest
-    first, found by ``bisect_right``.  The order x < y iff M(x) < m(y) has up
-    masks ``_masks_above(ms, Ms)``, which the canonical-coordinate recheck
-    compares, and down masks ``_masks_above(-Ms, -ms)``.
-    """
-    by_value: dict[int, int] = {}
-    for i, v in enumerate(values):
-        by_value[v] = by_value.get(v, 0) | 1 << i
-    distinct = sorted(by_value)
-    above = [0] * (len(distinct) + 1)  # above[k]: valued distinct[k] or more
-    for k in range(len(distinct) - 1, -1, -1):
-        above[k] = above[k + 1] | by_value[distinct[k]]
-    return tuple(above[bisect_right(distinct, c)] for c in cuts)
-
-
 def _interval_order(elements: tuple[str, ...], lo: list[int], hi: list[int]) -> Poset:
     """The order on ``elements`` with x < y iff hi[x] < lo[y], by index."""
     ups = _masks_above(lo, hi)
@@ -98,55 +81,17 @@ def r_lambda(lam: int) -> Poset:
     return _interval_order(elements, [a for a, _ in pairs], [b for _, b in pairs])
 
 
-def inflate(
-    base: Poset, multiplicity: dict[Label, int]
-) -> tuple[Poset, dict[Label, Label]]:
-    """Replace each element by pairwise-incomparable copies.
+def canonical_embedding(p: Poset) -> Embedding:
+    """Embed a reduced tame poset into the template of its tame rank.
 
-    Element x with multiplicity k becomes copies "x#0" .. "x#k-1"; copies
-    relate exactly as their base elements do.  Elements missing from
-    ``multiplicity`` default to one copy.  A copy's up and down masks are
-    the block expansions of its base element's, so none is transposed.
-    Returns the inflated poset and the projection from copies back to base
-    elements.
+    Maps x to its rechecked coordinate pair (m(x), M(x)); passing that
+    recheck is what makes the map an embedding.  The template has
+    width r = tame rank <= len(p), with no other limit; ``embed --json`` is
+    the one CLI verb that builds it.
     """
-    mult = {}
-    for x, k in multiplicity.items():
-        base.index(x)
-        if not isinstance(k, int) or k < 1:
-            raise InvalidMultiplicity(f"multiplicity of {x!r} must be >= 1, got {k!r}")
-        mult[x] = k
-    counts = [mult.get(x, 1) for x in base.elements]
-    offsets = []
-    total = 0
-    for k in counts:
-        offsets.append(total)
-        total += k
-    block = [((1 << k) - 1) << off for k, off in zip(counts, offsets)]
-    labels: list[str] = []
-    projection: dict[Label, Label] = {}
-    ups: list[int] = []
-    downs: list[int] = []
-    expanded_of: dict[int, int] = {}
-
-    def expand(row: int) -> int:
-        out = expanded_of.get(row)
-        if out is None:
-            # the blocks are disjoint, so their sum is their union
-            out = expanded_of[row] = sum(at_set_bits(block, row))
-        return out
-
-    for x, up, down, k in zip(base.elements, base.up_masks, base.down_masks, counts):
-        up, down = expand(up), expand(down)
-        for copy in range(k):
-            label = InflatedPoint(str(x), copy).label
-            labels.append(label)
-            projection[label] = x
-            ups.append(up)
-            downs.append(down)
-    elements = tuple(labels)
-    inflated = Poset._trusted(elements, tuple(ups), tuple(downs), _index_of(elements))
-    return inflated, projection
+    rank, ms, Ms = tame._reduced_coordinates(p)
+    mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}
+    return Embedding(p, r_lambda(rank), mapping)
 
 
 def cummings_blocks(o: int) -> Poset:
@@ -173,8 +118,10 @@ class RealizeResult(NamedTuple):
 
     ``iso`` is the isomorphism from the restriction onto the original input,
     correct by the coordinates' recheck.  ``w``, the restriction's elements,
-    names the selected copies of the template of width ``rank``, inflated as
-    ``inflated``; both are derived on each access.
+    names the selected copies of the template of width ``rank``.
+    ``inflated`` gives each template point as many copies as ``w`` holds,
+    and one when it holds none, listed as "a,b#c" in (a, b, c) order; both
+    are derived on each access.
     """
 
     iso: Embedding
@@ -186,8 +133,15 @@ class RealizeResult(NamedTuple):
 
     @property
     def inflated(self) -> Poset:
-        multiplicity = Counter(InflatedPoint.parse(x).base for x in self.w)
-        return inflate(r_lambda(self.rank), multiplicity)[0]
+        copies = Counter(zip(*tame._coordinates(self.iso.source)))
+        elements, lo, hi = [], [], []
+        for a in range(self.rank):
+            for b in range(a, self.rank):
+                for c in range(copies[a, b] or 1):
+                    elements.append(InflatedPoint(order_pair_label(a, b), c).label)
+                    lo.append(a)
+                    hi.append(b)
+        return _interval_order(tuple(elements), lo, hi)
 
     def to_json(self) -> dict:
         return {"w": [str(x) for x in self.w], "iso": self.iso.to_json()}
@@ -205,8 +159,6 @@ def realize(s: Poset) -> RealizeResult:
     the order-theoretic restriction step is modeled: picking the points out
     of a larger ambient structure adds nothing combinatorial.
     """
-    from . import tame
-
     rank, ms, Ms = tame._canonical_coordinates(s)
     copies = Counter()
     labels = []

@@ -51,6 +51,17 @@ def oracle_minimal_rank(p: Poset, budget: int | None = None) -> int:
     raise AssertionError("no template up to the poset's size hosts it")
 
 
+def oracle_inflate(base: Poset, multiplicity: dict) -> Poset:
+    """``base`` with each x replaced by copies "x#0" .. "x#k-1", pair by pair.
+
+    k is ``multiplicity.get(x, 1)``; two copies relate exactly as their base
+    elements do, so the copies of one element are pairwise incomparable.
+    """
+    copies = [(x, f"{x}#{c}") for x in base for c in range(multiplicity.get(x, 1))]
+    pairs = [(u, v) for x, u in copies for y, v in copies if base.less(x, y)]
+    return build_poset([u for _, u in copies], pairs)
+
+
 def oracle_quartet_r22(p: Poset):
     """Brute scan over ordered quadruples for an induced two-chain pair."""
     for x, x2, y, y2 in itertools.permutations(p.elements, 4):

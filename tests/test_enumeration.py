@@ -14,6 +14,7 @@ from tameorders import (
     is_isomorphic,
     random_poset,
     tame,
+    templates,
     verify_proposition,
     verify_sampled,
 )
@@ -191,9 +192,9 @@ class TestVerifyProposition:
         monkeypatch.setattr(enumeration, "embeds_r22", scan)
         monkeypatch.setattr(tame, "embeds_r22", scan)
         monkeypatch.setattr(
-            tame,
+            templates,
             "canonical_embedding",
-            counted("canonical_embedding", tame.canonical_embedding),
+            counted("canonical_embedding", templates.canonical_embedding),
         )
         assert verify_proposition(4).ok
         assert calls == {"embeds_r22": 219}

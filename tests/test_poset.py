@@ -316,6 +316,13 @@ class TestConstructor:
         with pytest.raises(UnknownElement, match="unhashable"):
             chain(2).index([1])
 
+    def test_unhashable_label_is_refused(self):
+        # no dict can index it; looking one up is an UnknownElement instead
+        with pytest.raises(InvalidParameter, match=r"element \{\} is not hashable"):
+            Poset(["a", {}], [0, 0])
+        with pytest.raises(InvalidParameter, match=r"element \['a'\] is not hashable"):
+            build_poset([["a"]], [])
+
     def test_non_transitive_wider_than_a_word(self):
         n = 70
         labels = [f"e{i}" for i in range(n)]

@@ -13,12 +13,12 @@ from tameorders import (
     build_poset,
     cummings_blocks,
     format_poset,
-    inflate,
     parse_poset,
     pattern_s_n2,
     poset_json,
     poset_json_text,
     r_lambda,
+    realize,
 )
 from tameorders.textfmt import _parse_lines
 
@@ -36,7 +36,8 @@ def test_round_trip_template_labels():
 
 
 def test_round_trip_inflated_labels():
-    inflated, _ = inflate(r_lambda(2), {"0,0": 2, "1,1": 3})
+    two_below_three = build_poset("abcde", [(x, y) for x in "ab" for y in "cde"])
+    inflated = realize(two_below_three).inflated
     assert parse_poset(format_poset(inflated)) == inflated
 
 

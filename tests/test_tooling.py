@@ -4,9 +4,10 @@ A failing test is reported, not fatal; the public names are exactly the
 listed ones, as many as README says, and so are each CLI verb's options;
 the public records are read-only tuples of their fields, with the facts
 derived from those fields as read-only properties; no module imports a
-name it never uses, every public function or class is exported or used by
-the package, and importing the CLI loads none of ``dataclasses``,
-``inspect``, ``argparse`` and ``gettext``.
+name it never uses, the modules import one another at their tops and in no
+cycle, every public function or class is exported or used by the package,
+and importing the CLI loads none of ``dataclasses``, ``inspect``,
+``argparse`` and ``gettext``.
 """
 
 import argparse
@@ -24,15 +25,17 @@ from tameorders import (
     Embedding,
     InflatedPoint,
     VerificationReport,
-    build_poset,
+    all_labeled_posets,
     cli,
-    inflate,
+    embeds_r22,
     is_tame,
     pattern_s_n2,
     r_lambda,
     realize,
     reduce,
 )
+
+from conftest import assert_order, oracle_inflate
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -47,7 +50,6 @@ PUBLIC = [
     "FormatError",
     "InflatedPoint",
     "InternalInvariantViolation",
-    "InvalidMultiplicity",
     "InvalidParameter",
     "NotReduced",
     "NotTame",
@@ -68,7 +70,6 @@ PUBLIC = [
     "embeds_r22",
     "find_embedding",
     "format_poset",
-    "inflate",
     "is_isomorphic",
     "is_reduced",
     "is_tame",
@@ -193,12 +194,17 @@ def test_record_defaults():
 
 
 def test_realize_inflated_is_the_template_inflated_by_class_sizes():
-    # a and b share a class, so their point of the template gets two copies
-    ab_below_c = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    for p in (ab_below_c, pattern_s_n2(3), r_lambda(3)):
-        result = realize(p)
-        multiplicity = Counter(InflatedPoint.parse(x).base for x in result.w)
-        assert result.inflated == inflate(r_lambda(result.rank), multiplicity)[0]
+    # inflated shares _interval_order with w's order, so it is checked
+    # against the inflation built pair by pair, sized by the labels of w
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            if embeds_r22(p) is not None:
+                continue
+            result = realize(p)
+            sizes = Counter(InflatedPoint.parse(x).base for x in result.w)
+            assert result.inflated == oracle_inflate(r_lambda(result.rank), sizes)
+            if n <= 4:
+                assert_order(result.inflated)
 
 
 # Modules the CLI's import adds to those the interpreter started with, so
@@ -287,6 +293,36 @@ def test_every_public_definition_is_exported_or_used():
         path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
     }
     assert unnamed_public_definitions(sources, set(tameorders.__all__)) == []
+
+
+def relative_imports(tree: ast.AST) -> list[ast.ImportFrom]:
+    """The package-relative ``from`` imports anywhere inside ``tree``."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+
+
+def test_package_imports_form_no_cycle():
+    # every module imports the package at its top, and the modules it
+    # imports from form no cycle: poset <- embedding <- tame <- templates
+    imports, nested = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports[path.stem] = {
+            name
+            for node in relative_imports(tree)
+            for name in ([node.module] if node.module else [a.name for a in node.names])
+        }
+        nested += [
+            f"{path.stem}.{scope.name}"
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and relative_imports(scope)
+        ]
+    assert nested == []
+    # strip the modules that import no remaining module until none is left
+    while leaves := [m for m, names in imports.items() if not names & imports.keys()]:
+        for m in leaves:
+            del imports[m]
+    assert imports == {}, "on or above an import cycle: " + ", ".join(sorted(imports))
 
 
 def test_no_module_imports_a_name_it_never_uses():
