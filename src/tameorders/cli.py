@@ -152,8 +152,6 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.budget is not None and args.budget < 0:
-        raise InvalidParameter(f"node budget must be nonnegative, got {args.budget}")
     if args.seed is not None and args.samples is None:
         # argparse has no rule for one option requiring another, so the
         # rule lives here alone: the recognizer accepts this argv too

@@ -23,8 +23,8 @@ class Embedding(NamedTuple):
     """A map between posets, claimed to be an embedding.
 
     The record holds no verdict: ``verify_embedding`` checks the claim.
-    ``find_embedding`` runs that check's index-level test on the witness
-    pass's image before it builds the record, and ``canonical_embedding``
+    ``find_embedding``'s image has passed that check's index-level test,
+    as every image ``_search`` returns has, and ``canonical_embedding``
     and ``realize`` rest on their coordinates' recheck.
     """
 
@@ -102,32 +102,33 @@ def _target_tables(target: Poset) -> tuple[Sequence[int], ...]:
 
 
 def _search(
-    pattern: Poset,
-    order: list[int],
-    tables: tuple[Sequence[int], ...],
-    budget: _Budget,
+    pattern: Poset, target: Poset, order: list[int], budget: _Budget
 ) -> list[int] | None:
     """Forward-checking search for a two-way embedding, assigning ``order`` in turn.
 
-    ``tables`` holds the target side (see ``_target_tables``): the up, down
-    and incomparable masks per target index, then the ``_at_least`` tables
-    of the up and down masks.  Every pattern element keeps a domain: the
-    bitmask of target indices still consistent with every assignment made
-    so far.  It starts as the targets with at least as many elements below
-    and above.  Placing s at t intersects each later domain with t's up
-    mask, down mask or incomparable mask, as the later element lies above,
-    below or apart from s; none of them holds t, so the map stays
-    injective.  A choice is dropped at the first later domain it empties,
-    before the rest are cut.  Each candidate taken from a domain is one node
-    of ``budget``.  The backtracking keeps an explicit stack, so the depth
-    is bounded by memory, not by the interpreter's recursion limit.
+    The one search of the library.  The target side is ``_target_tables``:
+    the up, down and incomparable masks per target index, then the
+    ``_at_least`` tables of the up and down masks.  Every pattern element
+    keeps a domain: the bitmask of target indices still consistent with
+    every assignment made so far.  It starts as the targets with at least
+    as many elements below and above.  Placing s at t intersects each later
+    domain with t's up mask, down mask or incomparable mask, as the later
+    element lies above, below or apart from s; none of them holds t, so the
+    map stays injective.  A choice is dropped at the first later domain it
+    empties, before the rest are cut.  Each candidate taken from a domain
+    is one node of ``budget``.  The backtracking keeps an explicit stack,
+    so the depth is bounded by memory, not by the interpreter's recursion
+    limit.
 
-    Returns the image index per pattern element, or None.  Candidates are
-    tried in ascending target index, so with ``order`` equal to the identity
-    the first hit is the lexicographically least embedding.
+    Returns the image index per pattern element, or None; an image that
+    fails ``_preserves_order`` raises InternalInvariantViolation.  Candidates
+    are tried in ascending target index, so with ``order`` equal to the
+    identity the first hit is the lexicographically least embedding.
     """
     k = len(pattern)
-    up, down, apart, above, below = tables
+    if k > len(target):
+        return None
+    up, down, apart, above, below = _target_tables(target)
     domains = [
         above[pattern.up_masks[s].bit_count()] & below[pattern.down_masks[s].bit_count()]
         for s in order
@@ -135,7 +136,7 @@ def _search(
     if not all(domains):
         return None
     if not k:
-        return []
+        return []  # the empty map, an embedding into every target
     # narrowing[d][j]: the target masks that cut the domain at depth d+1+j
     # once the element at depth d is placed
     narrowing = [
@@ -176,6 +177,8 @@ def _search(
                 image = [-1] * k
                 for s, t in zip(order, placed):
                     image[s] = t
+                if not _preserves_order(pattern, target, image):
+                    raise InternalInvariantViolation("search produced a non-embedding")
                 return image
             candidates[depth], pending[depth] = narrowed[0], narrowed[1:]
     return None
@@ -205,43 +208,25 @@ def _preserves_order(source: Poset, target: Poset, image: Sequence[int]) -> bool
     return True
 
 
-def _decide(pattern: Poset, target: Poset, budget: _Budget, first: Sequence[int]) -> bool:
-    """One most-constrained-first search, its image checked before True."""
+def _embeds(
+    pattern: Poset, target: Poset, budget: _Budget, first: Sequence[int] = ()
+) -> bool:
+    """Whether ``pattern`` embeds two-way into ``target``: one search pass.
+
+    The existence question of ``find_embedding`` without its witness pass.
+    The search assigns the most related elements first, which fails fast on
+    impossible instances; distinct indices in ``first`` lead that order.
+    The search stays complete, so no order moves the verdict, only how soon
+    absence is proven.  Its nodes are spent from ``budget``.
+    """
     k = len(pattern)
-    if k > len(target):
-        return False
     degree = [
         pattern.down_masks[i].bit_count() + pattern.up_masks[i].bit_count()
         for i in range(k)
     ]
     order = sorted(range(k), key=lambda i: (-degree[i], i))
-    if first:
-        # distinct indices placed first; the search stays complete, so any
-        # leading order gives the same verdict
-        order = [*first, *(i for i in order if i not in first)]
-    image = _search(pattern, order, _target_tables(target), budget)
-    if image is None:
-        return False
-    if not _preserves_order(pattern, target, image):
-        raise InternalInvariantViolation("search produced a non-embedding")
-    return True
-
-
-def _embeds(
-    pattern: Poset,
-    target: Poset,
-    *,
-    budget: int | None = None,
-    _first: Sequence[int] = (),
-) -> bool:
-    """Whether ``pattern`` embeds two-way into ``target``: one search pass.
-
-    The existence question of ``find_embedding`` without its witness pass:
-    the same most-constrained-first search (``_first`` leads its order), the
-    same ``budget`` semantics, and the found image is verified at index
-    level before the answer is True.
-    """
-    return _decide(pattern, target, _Budget(budget), _first)
+    order = [*first, *(i for i in order if i not in first)]
+    return _search(pattern, target, order, budget) is not None
 
 
 def find_embedding(
@@ -250,29 +235,21 @@ def find_embedding(
     """Least two-way embedding of ``pattern`` into ``target``, or None.
 
     When an embedding exists, the returned one is lexicographically least
-    under element index order, and it has passed the embedding test.
-    Both passes keep a bitmask domain of still-consistent targets per
-    pattern element and cut the later domains after every assignment (see
-    ``_search``).  Existence is decided first, as ``_embeds`` does, with a
-    most-constrained-first assignment order (most related elements first),
-    which fails fast on impossible instances; that pass verifies the image
-    it found.  The decide order only sets how soon absence is proven, never
-    the verdict; the witness pass then reruns in index order, and its image
-    is verified by the test behind ``verify_embedding`` before it is
-    returned.  ``budget`` caps the nodes across both passes, a node being
-    one assignment consistent with every earlier one (BudgetExceeded rather
-    than a wrong answer); a negative budget is an InvalidParameter.
-    Questions that need no witness (the sweep's checks, ``is_isomorphic``)
-    stop after the first pass.
+    under element index order.  Existence is decided first by ``_embeds``;
+    a witness pass of ``_search`` in index order then finds the least
+    image.  Like every image a search returns, it has passed the test
+    behind ``verify_embedding``.  ``budget`` caps the nodes across both
+    passes, a node being one assignment consistent with every earlier one
+    (BudgetExceeded rather than a wrong answer); a negative budget is an
+    InvalidParameter.  Questions that need no witness (the sweep's checks,
+    ``is_isomorphic``) stop after the first pass.
     """
     shared = _Budget(budget)
-    if not _decide(pattern, target, shared, ()):
+    if not _embeds(pattern, target, shared):
         return None
-    image = _search(pattern, list(range(len(pattern))), _target_tables(target), shared)
+    image = _search(pattern, target, list(range(len(pattern))), shared)
     if image is None:
         raise InternalInvariantViolation("embedding vanished between search passes")
-    if not _preserves_order(pattern, target, image):
-        raise InternalInvariantViolation("search produced a non-embedding")
     mapping = dict(zip(pattern.elements, (target.elements[t] for t in image)))
     return Embedding(pattern, target, mapping)
 
@@ -287,7 +264,7 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
     """
     if len(p) != len(q) or p.num_relations != q.num_relations:
         return False
-    return _embeds(p, q)
+    return _embeds(p, q, _Budget(None))
 
 
 def verify_embedding(e: Embedding) -> bool:

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import tame
-from .embedding import _embeds, embeds_r22
+from .embedding import _Budget, _embeds, embeds_r22
 from .errors import InvalidParameter, SizeLimitExceeded
 from .poset import Poset, build_poset
 from .templates import r_lambda
@@ -161,17 +161,17 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
         rank = quotient_rank if quotient is p else tame._rank(p)
         if quotient_rank != rank:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
-        if not _embeds(quotient, r_lambda(rank), budget=budget):
+        if not _embeds(quotient, r_lambda(rank), _Budget(budget)):
             fail("embed-tame", f"no brute-force embedding into width {rank}")
         # reduce returns p itself when p is reduced: the recheck tested its claim
         if len(quotient) < len(p):
             if not tame.check_claim_inequalities(p):
                 fail("claim-inequalities", "coordinate inequality violated")
-        elif rank and _embeds(p, r_lambda(rank - 1), budget=budget):
+        elif rank and _embeds(p, r_lambda(rank - 1), _Budget(budget)):
             fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
     else:
         first = [p.index(x) for x in witness]
-        if _embeds(p, r_lambda(len(p)), budget=budget, _first=first):
+        if _embeds(p, r_lambda(len(p)), _Budget(budget), first):
             fail(
                 "embed-nontame",
                 f"non-tame poset embedded into width {len(p)}",
@@ -201,15 +201,20 @@ def verify_proposition(n: int, *, budget: int | None = None) -> VerificationRepo
     Sweeps every poset that ``all_labeled_posets(n)`` yields, so n runs
     from 0 to ENUMERATION_CAP and its errors propagate before any check
     runs; n = 6 (130023 posets) takes about 20 s.  Expected outcome on
-    every n: zero counterexamples.
+    every n: zero counterexamples.  A negative ``budget`` is refused first.
     """
+    _Budget(budget)
     return _sweep(n, all_labeled_posets(n), budget)
 
 
 def verify_sampled(
     n: int, count: int, seed: int, *, budget: int | None = None
 ) -> VerificationReport:
-    """Run the per-instance checks on seeded random posets of size n."""
+    """Run the per-instance checks on seeded random posets of size n.
+
+    A negative ``budget`` is refused first, then a negative n or count.
+    """
+    _Budget(budget)
     if n < 0:
         raise InvalidParameter("element count must be nonnegative")
     if count < 0:

@@ -22,7 +22,7 @@ from tameorders import (
 )
 
 from tameorders import embedding, enumeration
-from tameorders.embedding import _embeds, _preserves_order, _target_tables
+from tameorders.embedding import _Budget, _embeds, _preserves_order, _target_tables
 from tameorders.poset import at_set_bits
 
 from conftest import (
@@ -179,30 +179,39 @@ class TestExistenceCheck:
                     t = r_lambda(lam)
                     expected = find_embedding(p, t) is not None
                     for hint in hints:
-                        assert _embeds(p, t, _first=hint) == expected, (p.pairs(), lam)
+                        assert _embeds(p, t, _Budget(None), hint) == expected, (p.pairs(), lam)
+
+    @staticmethod
+    def any_relation_tables(target):
+        # target tables under which any two distinct targets stand in any
+        # relation: the search then takes the first injective map it tries
+        n = len(target)
+        full = (1 << n) - 1
+        others = tuple(full & ~(1 << t) for t in range(n))
+        return others, others, others, [full] * (n + 1), [full] * (n + 1)
 
     def test_corrupted_image_is_caught(self, monkeypatch):
-        # a search that claims the first target for every element: the
-        # decide pass's image is checked before the answer counts
-        monkeypatch.setattr(embedding, "_search", lambda pattern, *a: [0] * len(pattern))
+        # the search maps the antichain onto the chain's first two points;
+        # its image is checked before the answer counts
+        monkeypatch.setattr(embedding, "_target_tables", self.any_relation_tables)
         with pytest.raises(InternalInvariantViolation):
-            _embeds(chain(2), chain(3))
+            _embeds(antichain(2), chain(3), _Budget(None))
         with pytest.raises(InternalInvariantViolation):
-            find_embedding(chain(2), chain(3))
+            find_embedding(antichain(2), chain(3))
 
     def test_corrupted_witness_is_caught(self, monkeypatch):
-        # the decide pass is sound; find_embedding's witness pass is not
-        real, orders = embedding._search, []
+        # the decide pass is sound; find_embedding's witness pass is not, and
+        # maps the chain onto the incomparable points 0,0 and 0,1
+        real, lookups = embedding._target_tables, []
 
-        def second_corrupted(pattern, order, tables, budget):
-            orders.append(order)
-            image = real(pattern, order, tables, budget)
-            return image if len(orders) == 1 else [image[0]] * len(image)
+        def second_corrupted(target):
+            lookups.append(target)
+            return (real if len(lookups) == 1 else self.any_relation_tables)(target)
 
-        monkeypatch.setattr(embedding, "_search", second_corrupted)
+        monkeypatch.setattr(embedding, "_target_tables", second_corrupted)
         with pytest.raises(InternalInvariantViolation):
-            find_embedding(chain(2), chain(3))
-        assert len(orders) == 2
+            find_embedding(chain(2), r_lambda(2))
+        assert len(lookups) == 2
 
     def test_budget_counts_one_pass(self, monkeypatch):
         # the sweep's checks fit the nodes of the decide pass alone, where
@@ -215,7 +224,7 @@ class TestExistenceCheck:
             return real(self)
 
         monkeypatch.setattr(embedding._Budget, "spend", counted)
-        assert _embeds(p, r_lambda(4))
+        assert _embeds(p, r_lambda(4), _Budget(None))
         monkeypatch.undo()
         nodes = len(spent)
         assert enumeration.check_poset(p, budget=nodes) == (True, [])

@@ -9,6 +9,7 @@ from tameorders import (
     InvalidParameter,
     SizeLimitExceeded,
     all_labeled_posets,
+    embedding,
     enumeration,
     format_poset,
     is_isomorphic,
@@ -152,6 +153,19 @@ class TestVerifyProposition:
         assert report.total == 219
         assert report.tame_count == 207
         assert report.ok
+
+    def test_search_node_count(self, monkeypatch):
+        # pinned: a change to the search order or the starting domains moves
+        # this count, and must update it on purpose
+        real, spent = embedding._Budget.spend, []
+
+        def counted(self):
+            spent.append(1)
+            return real(self)
+
+        monkeypatch.setattr(embedding._Budget, "spend", counted)
+        assert verify_proposition(4).ok
+        assert len(spent) == 1037
 
     def test_target_tables_built_once_per_template(self):
         # every search into one template reuses its tables: at most one miss
@@ -310,3 +324,17 @@ class TestVerifySampled:
             verify_sampled(-1, 5, seed=0)
         with pytest.raises(InvalidParameter):
             verify_sampled(3, -5, seed=0)
+
+
+def test_negative_budget_is_refused_before_any_poset():
+    # before any other check too: a negative count or size of the same call
+    # is not the error reported
+    message = "node budget must be nonnegative, got -1"
+    with pytest.raises(InvalidParameter, match=message):
+        verify_sampled(3, 0, 1, budget=-1)
+    with pytest.raises(InvalidParameter, match=message):
+        verify_sampled(-1, -1, 1, budget=-1)
+    with pytest.raises(InvalidParameter, match=message):
+        verify_proposition(0, budget=-1)
+    with pytest.raises(InvalidParameter, match=message):
+        verify_proposition(7, budget=-1)

@@ -50,6 +50,7 @@ class TestBuildPoset:
     def test_r22_from_pairs(self):
         p = build_poset(["x0", "x1", "y0", "y1"], [("x0", "y0"), ("x1", "y1")])
         assert p == pattern_r22()
+        assert p != pattern_r22().pairs()  # no poset equals a non-poset
 
     def test_unknown_element(self):
         with pytest.raises(UnknownElement):

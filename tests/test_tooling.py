@@ -247,12 +247,12 @@ def test_unused_import_check_flags_only_unread_names():
     assert unused_imports(source) == ["Sequence", "os"]
 
 
-def unnamed_public_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
-    """Public module-level functions and classes that nothing names, as module.name.
+def unnamed_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Module-level functions and classes that nothing names, as module.name.
 
-    A definition counts as named when it is exported or when some code of
-    the package, outside the definition itself, reads it as a name or an
-    attribute or imports it.
+    Private names count too, dunder names do not.  A definition counts as
+    named when it is exported or when some code of the package, outside the
+    definition itself, reads it as a name or an attribute or imports it.
     """
     found = []
     trees = {module: ast.parse(source) for module, source in sources.items()}
@@ -261,7 +261,7 @@ def unnamed_public_definitions(sources: dict[str, str], exported: set[str]) -> l
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("_") or name in exported:
+            if name.startswith("__") or name in exported:
                 continue
             inside = {id(inner) for inner in ast.walk(node)}
             named = any(
@@ -278,21 +278,23 @@ def unnamed_public_definitions(sources: dict[str, str], exported: set[str]) -> l
 
 def test_unnamed_definition_check_flags_only_unread_names():
     sources = {
-        "a": "def used(): pass\ndef stray(): stray()\nclass Kept: pass\ndef _private(): pass\n",
+        "a": "def used(): pass\ndef stray(): stray()\nclass Kept: pass\ndef _private(): pass\n"
+        "def __getattr__(name): pass\n",
         "b": "from .a import used\n",
         "c": "import a\na.Kept\n",
     }
-    assert unnamed_public_definitions(sources, set()) == ["a.stray"]
-    assert unnamed_public_definitions(sources, {"stray"}) == []
+    assert unnamed_definitions(sources, set()) == ["a.stray", "a._private"]
+    assert unnamed_definitions(sources, {"stray", "_private"}) == []
 
 
 def test_every_public_definition_is_exported_or_used():
-    # a library function no code calls and __all__ does not list is a test
-    # oracle or dead code: it belongs in conftest.py or nowhere
+    # a library function no code calls and __all__ does not list, private
+    # or not, is a test oracle or dead code: it belongs in conftest.py or
+    # nowhere
     sources = {
         path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert unnamed_public_definitions(sources, set(tameorders.__all__)) == []
+    assert unnamed_definitions(sources, set(tameorders.__all__)) == []
 
 
 def relative_imports(tree: ast.AST) -> list[ast.ImportFrom]:
