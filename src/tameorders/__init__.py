@@ -52,12 +52,9 @@ from .tame import (
     u_comparable,
 )
 from .templates import (
-    InflatedPoint,
     RealizeResult,
     canonical_embedding,
     cummings_blocks,
-    order_pair_label,
-    parse_order_pair,
     r_lambda,
     realize,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "DuplicateElement",
     "Embedding",
     "FormatError",
-    "InflatedPoint",
     "InternalInvariantViolation",
     "InvalidParameter",
     "NotReduced",
@@ -94,8 +90,6 @@ __all__ = [
     "is_isomorphic",
     "is_reduced",
     "is_tame",
-    "order_pair_label",
-    "parse_order_pair",
     "parse_poset",
     "pattern_r22",
     "pattern_s_n2",

@@ -8,53 +8,29 @@ builds no template; ``RealizeResult.inflated`` builds one on each access.
 Every order read off coordinates, x < y iff M(x) < m(y), the templates,
 the inflated template and ``realize``'s restriction alike, is built by the
 one ``_interval_order``.
+
+``_point`` writes every template label: "a,b" for the point (a, b), and
+"a,b#c" for its copy c, each number as ``str`` writes it.  The library
+reads no label back.  The coordinates of the elements of a tame ``p`` are
+``is_tame(q).coordinates`` for ``q = reduce(p).quotient``, read through
+``reduce(p).class_of``.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import tame
 from .embedding import Embedding
-from .errors import FormatError, InvalidParameter
+from .errors import InvalidParameter
 from .poset import Label, Poset, _index_of, _masks_above
 
-# A nonnegative int as str() writes it: ASCII digits, and no leading zero.
-_NUMERAL = re.compile(r"0|[1-9][0-9]*")
 
-
-class InflatedPoint(NamedTuple):
-    """A copy of a base element, labeled "<base>#<copy>" with copy as str(copy)."""
-
-    base: str
-    copy: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.base}#{self.copy}"
-
-    @classmethod
-    def parse(cls, label: str) -> "InflatedPoint":
-        base, _, copy = str(label).rpartition("#")
-        if not base or not _NUMERAL.fullmatch(copy):
-            raise FormatError(f"not an inflated point label: {label!r}")
-        return cls(base, int(copy))
-
-
-def order_pair_label(alpha: int, beta: int) -> str:
-    """Label "a,b" of the template element (alpha, beta)."""
-    return f"{alpha},{beta}"
-
-
-def parse_order_pair(label: str) -> tuple[int, int]:
-    """Inverse of order_pair_label: "a,b" as it writes it, else FormatError."""
-    a, comma, b = str(label).partition(",")
-    if not (comma and _NUMERAL.fullmatch(a) and _NUMERAL.fullmatch(b)):
-        raise FormatError(f"not an order pair label: {label!r}")
-    return int(a), int(b)
+def _point(a: int, b: int) -> str:
+    """Label "a,b" of the template point (a, b); a copy of it is "a,b#c"."""
+    return f"{a},{b}"
 
 
 def _interval_order(elements: tuple[str, ...], lo: list[int], hi: list[int]) -> Poset:
@@ -77,7 +53,7 @@ def r_lambda(lam: int) -> Poset:
     if lam < 0:
         raise InvalidParameter("template width must be nonnegative")
     pairs = [(a, b) for a in range(lam) for b in range(a, lam)]
-    elements = tuple(order_pair_label(a, b) for a, b in pairs)
+    elements = tuple(_point(a, b) for a, b in pairs)
     return _interval_order(elements, [a for a, _ in pairs], [b for _, b in pairs])
 
 
@@ -90,7 +66,7 @@ def canonical_embedding(p: Poset) -> Embedding:
     the one CLI verb that builds it.
     """
     rank, ms, Ms = tame._reduced_coordinates(p)
-    mapping = {x: order_pair_label(m, big) for x, m, big in zip(p.elements, ms, Ms)}
+    mapping = {x: _point(m, big) for x, m, big in zip(p.elements, ms, Ms)}
     return Embedding(p, r_lambda(rank), mapping)
 
 
@@ -118,10 +94,10 @@ class RealizeResult(NamedTuple):
 
     ``iso`` is the isomorphism from the restriction onto the original input,
     correct by the coordinates' recheck.  ``w``, the restriction's elements,
-    names the selected copies of the template of width ``rank``.
+    names the selected copies "a,b#c" of the template of width ``rank``.
     ``inflated`` gives each template point as many copies as ``w`` holds,
-    and one when it holds none, listed as "a,b#c" in (a, b, c) order; both
-    are derived on each access.
+    and one when it holds none, listed in (a, b, c) order; both are derived
+    on each access.
     """
 
     iso: Embedding
@@ -138,7 +114,7 @@ class RealizeResult(NamedTuple):
         for a in range(self.rank):
             for b in range(a, self.rank):
                 for c in range(copies[a, b] or 1):
-                    elements.append(InflatedPoint(order_pair_label(a, b), c).label)
+                    elements.append(f"{_point(a, b)}#{c}")
                     lo.append(a)
                     hi.append(b)
         return _interval_order(tuple(elements), lo, hi)
@@ -150,8 +126,9 @@ class RealizeResult(NamedTuple):
 def realize(s: Poset) -> RealizeResult:
     """Produce a tame order as a restriction of an inflated template.
 
-    Element x becomes a copy of the point (m(x), M(x)), so every class
-    inflates its point to the class size.  ``w`` lists the copies in
+    Element x becomes a copy "m,M#c" of the point (m(x), M(x)), where c
+    counts the earlier elements of its class, so every class inflates its
+    point to the class size.  ``w`` lists the copies in
     (m, M, element index) order, their order in the inflated template; they
     relate as their points do, built by ``_interval_order``.  The
     coordinates' recheck, not ``verify_embedding``, makes ``iso`` an
@@ -163,7 +140,7 @@ def realize(s: Poset) -> RealizeResult:
     copies = Counter()
     labels = []
     for point in zip(ms, Ms):
-        labels.append(InflatedPoint(order_pair_label(*point), copies[point]).label)
+        labels.append(f"{_point(*point)}#{copies[point]}")
         copies[point] += 1
     order = sorted(range(len(s)), key=lambda i: (ms[i], Ms[i], i))
     elements = tuple(labels[i] for i in order)

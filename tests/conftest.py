@@ -9,6 +9,7 @@ share their bugs.
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -60,6 +61,22 @@ def oracle_inflate(base: Poset, multiplicity: dict) -> Poset:
     copies = [(x, f"{x}#{c}") for x in base for c in range(multiplicity.get(x, 1))]
     pairs = [(u, v) for x, u in copies for y, v in copies if base.less(x, y)]
     return build_poset([u for _, u in copies], pairs)
+
+
+# A label the template writers emit, "a,b" or a copy "a,b#c": each number
+# as str() writes a nonnegative int, in ASCII digits with no leading zero.
+_TEMPLATE_LABEL = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)(?:#(0|[1-9][0-9]*))?")
+
+
+def oracle_point(label) -> tuple[int, int]:
+    """The point (a, b) that a template label "a,b" or "a,b#c" names.
+
+    Fails the test on any other label; the library reads no label back.
+    """
+    match = _TEMPLATE_LABEL.fullmatch(label) if isinstance(label, str) else None
+    if match is None:
+        pytest.fail(f"not a template label: {label!r}")
+    return int(match[1]), int(match[2])
 
 
 def oracle_quartet_r22(p: Poset):
@@ -295,3 +312,22 @@ def posets(draw, max_size: int = 7) -> Poset:
             if draw(st.booleans()):
                 pairs.append((labels[perm[i]], labels[perm[j]]))
     return build_poset(labels, pairs)
+
+
+@st.composite
+def interval_orders(draw, max_size: int = 150):
+    """Random interval order with its intervals: x < y iff r(x) < l(y).
+
+    The endpoints l <= r lie in 0..K-1 for a drawn K; the order is built
+    pair by pair from the intervals, never from coordinates.  Returns the
+    poset and {label: (l, r)}.
+    """
+    k = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    end = st.integers(min_value=0, max_value=k - 1)
+    ends = draw(st.lists(st.tuples(end, end), min_size=n, max_size=n))
+    intervals = {f"i{j}": (min(e), max(e)) for j, e in enumerate(ends)}
+    pairs = [
+        (x, y) for x, (_, r) in intervals.items() for y, (l, _) in intervals.items() if r < l
+    ]
+    return build_poset(list(intervals), pairs), intervals

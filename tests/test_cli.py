@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -18,7 +19,6 @@ from tameorders import (
     cli,
     cummings_blocks,
     format_poset,
-    parse_order_pair,
     parse_poset,
     pattern_s_n2,
     poset_json,
@@ -32,6 +32,7 @@ from tameorders.cli import main
 from conftest import (
     chain,
     oracle_closure,
+    oracle_point,
     oracle_quartet_r22,
     posets,
     random_generating_set,
@@ -426,7 +427,7 @@ class TestNoWidthCap:
         embedding, iso = self.run_verbs(capsys, path, 66)
         assert len(embedding) == 66 * 67 // 2
         for label, coordinates in embedding.items():
-            assert coordinates == list(parse_order_pair(label))
+            assert coordinates == list(oracle_point(label))
         assert iso == {f"{label}#0": label for label in embedding}
 
     def test_chain_90(self, capsys, tmp_path):
@@ -986,3 +987,48 @@ def test_module_entry_point_reads_sys_argv(corpus_files):
     assert child.stderr.endswith("error: the following arguments are required: verb\n")
     child = run_module("-h")
     assert child.returncode == 0 and child.stdout.startswith("usage: tameorders")
+
+
+class TestPinnedBytes:
+    """SHA-256 digests of CLI output, unchanged since they were first taken.
+
+    A change that moves one byte of what these argvs print fails here; if
+    the move is meant, the digest is retaken and the reason recorded.
+    """
+
+    def test_verify_sweep_stdout(self):
+        # the benchmark's verify_sweep op set, in its declared order
+        digest = hashlib.sha256(call(["verify", "--json", "--n", "5"])[1].encode())
+        for seed in range(1, 100):
+            argv = ["verify", "--json", "--n", "7", "--samples", "6", "--seed", str(seed)]
+            digest.update(call(argv)[1].encode())
+        assert digest.hexdigest() == (
+            "79c221f59d1575611c7e0643ec5e701e16c1f31d447bc3ca91eedaa0c4701139"
+        )
+
+    def test_label_corpus(self, tmp_path):
+        # 216 records: gen with and without --json, then every file verb,
+        # text and --json, on that gen output; the file's path reads "IN"
+        sources = [["--r-lambda", str(k)] for k in (0, 1, 3, 6, 9)]
+        sources += [["--cummings", str(k)] for k in (1, 3, 5)]
+        sources += [["--s-n2", str(k)] for k in (1, 4, 9)]
+        sources += [["--r22"]]
+        sources += [["--random", "12", p, s] for p in ("0.1", "0.3", "0.8") for s in "12"]
+        path = str(tmp_path / "in.poset")
+        digest, records = hashlib.sha256(), 0
+        for source in sources:
+            for argv in (["gen", *source], ["gen", *source, "--json"]):
+                digest.update(json.dumps([argv, *call(argv)]).encode() + b"\n")
+                records += 1
+            Path(path).write_text(call(["gen", *source])[1])
+            for verb in ("check", "rank", "embed", "reduce", "realize"):
+                for tail in ([], ["--json"]):
+                    code, out, err = call([verb, path, *tail])
+                    out, err = out.replace(path, "IN"), err.replace(path, "IN")
+                    record = [[verb, "IN", *tail], code, out, err]
+                    digest.update(json.dumps(record).encode() + b"\n")
+                    records += 1
+        assert records == 216
+        assert digest.hexdigest() == (
+            "b4fa2a6692771d7a4d494e89ae4f8e108f21240f32f77d79f33c8d4874e24b1c"
+        )

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from tameorders import (
     BudgetExceeded,
-    InflatedPoint,
     InternalInvariantViolation,
     NotReduced,
     NotTame,
@@ -20,7 +19,6 @@ from tameorders import (
     is_isomorphic,
     is_reduced,
     is_tame,
-    parse_order_pair,
     pattern_r22,
     pattern_s_n2,
     r_lambda,
@@ -36,10 +34,12 @@ from tameorders.poset import at_set_bits
 from conftest import (
     antichain,
     chain,
+    interval_orders,
     oracle_claim_inequalities,
     oracle_coordinates,
     oracle_longest_chain,
     oracle_minimal_rank,
+    oracle_point,
     oracle_zero_one_fishburn,
     posets,
 )
@@ -72,7 +72,7 @@ class TestIsTame:
     def test_template_tame(self):
         report = is_tame(r_lambda(4))
         assert report.tame and report.tame_rank == 4
-        assert report.coordinates == {x: parse_order_pair(x) for x in r_lambda(4)}
+        assert report.coordinates == {x: oracle_point(x) for x in r_lambda(4)}
         assert verify_embedding(canonical_embedding(r_lambda(4)))
 
     def test_s22_tame(self):
@@ -98,7 +98,7 @@ class TestIsTame:
                     continue
                 mapping = canonical_embedding(p).mapping
                 assert is_tame(p).to_json()["embedding"] == {
-                    str(x): list(parse_order_pair(y)) for x, y in mapping.items()
+                    str(x): list(oracle_point(y)) for x, y in mapping.items()
                 }
 
     def test_report_wants_witness_or_rank(self):
@@ -271,10 +271,7 @@ class TestTameRank:
 def realized_coordinates(p):
     """{x: (m, M)} read off the template point each element is a copy of."""
     result = realize(p)
-    return {
-        result.iso.mapping[w]: parse_order_pair(InflatedPoint.parse(w).base)
-        for w in result.w
-    }
+    return {result.iso.mapping[w]: oracle_point(w) for w in result.w}
 
 
 class TestCoordinateValues:
@@ -306,13 +303,13 @@ class TestCoordinateValues:
                 assert is_tame(p).coordinates == expected
                 emb = canonical_embedding(p)
                 assert {
-                    x: parse_order_pair(y) for x, y in emb.mapping.items()
+                    x: oracle_point(y) for x, y in emb.mapping.items()
                 } == expected
         assert (tame_count, non_reduced) == (3682, 1626)
 
     def test_template_coordinates_identity(self):
         p = r_lambda(4)
-        assert realized_coordinates(p) == {x: parse_order_pair(x) for x in p}
+        assert realized_coordinates(p) == {x: oracle_point(x) for x in p}
 
 
 class TestCanonicalEmbedding:
@@ -352,7 +349,7 @@ class TestCanonicalEmbedding:
                     continue
                 emb = canonical_embedding(p)
                 for label in emb.mapping.values():
-                    a, b = parse_order_pair(label)
+                    a, b = oracle_point(label)
                     assert 0 <= a <= b < tame_rank(p)
 
 
@@ -477,3 +474,39 @@ def test_reduced_tame_embedding_verifies_exhaustively_small():
             if embeds_r22(p) is None:
                 emb = canonical_embedding(reduce(p).quotient)
                 assert verify_embedding(emb)
+
+
+@given(interval_orders(150))
+@settings(max_examples=50)
+def test_interval_orders_match_their_interval_counts(case):
+    # an interval order's down-sets are nested, and so are its up-sets, so
+    # a count of each names it: the reduced classes are the distinct pairs
+    # of counts, and m (M) counts the distinct down-set (up-set complement)
+    # sizes below the element's own
+    p, intervals = case
+    below = {x: sum(r < intervals[x][0] for _, r in intervals.values()) for x in p}
+    above = {x: sum(intervals[x][1] < l for l, _ in intervals.values()) for x in p}
+    k = len(set(below.values()))
+    assert is_tame(p).tame
+    assert tame_rank(p) == k == len(set(above.values()))
+    reduction = reduce(p)
+    q = reduction.quotient
+    pairs = {x: (below[x], above[x]) for x in p}
+    classes = {}
+    for x in p:
+        classes.setdefault(reduction.class_of[x], set()).add(pairs[x])
+    assert all(len(held) == 1 for held in classes.values())
+    assert len(classes) == len(q) == len(set(pairs.values()))
+    coordinates = is_tame(q).coordinates
+    assert sorted({m for m, _ in coordinates.values()}) == list(range(k))
+    assert sorted({big for _, big in coordinates.values()}) == list(range(k))
+    expected = {
+        x: (
+            len({b for b in below.values() if b < below[x]}),
+            len({a for a in above.values() if a > above[x]}),
+        )
+        for x in p
+    }
+    assert {x: coordinates[q.elements[reduction.class_of[x]]] for x in p} == expected
+    result = realize(p)
+    assert {result.iso.mapping[w]: oracle_point(w) for w in result.w} == expected

@@ -23,7 +23,6 @@ import pytest
 import tameorders
 from tameorders import (
     Embedding,
-    InflatedPoint,
     VerificationReport,
     all_labeled_posets,
     cli,
@@ -35,7 +34,7 @@ from tameorders import (
     reduce,
 )
 
-from conftest import assert_order, oracle_inflate
+from conftest import assert_order, oracle_inflate, oracle_point
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -48,7 +47,6 @@ PUBLIC = [
     "DuplicateElement",
     "Embedding",
     "FormatError",
-    "InflatedPoint",
     "InternalInvariantViolation",
     "InvalidParameter",
     "NotReduced",
@@ -73,8 +71,6 @@ PUBLIC = [
     "is_isomorphic",
     "is_reduced",
     "is_tame",
-    "order_pair_label",
-    "parse_order_pair",
     "parse_poset",
     "pattern_r22",
     "pattern_s_n2",
@@ -201,7 +197,7 @@ def test_realize_inflated_is_the_template_inflated_by_class_sizes():
             if embeds_r22(p) is not None:
                 continue
             result = realize(p)
-            sizes = Counter(InflatedPoint.parse(x).base for x in result.w)
+            sizes = Counter("%d,%d" % oracle_point(x) for x in result.w)
             assert result.inflated == oracle_inflate(r_lambda(result.rank), sizes)
             if n <= 4:
                 assert_order(result.inflated)
@@ -335,3 +331,20 @@ def test_no_module_imports_a_name_it_never_uses():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_only_the_text_edges_import_re():
+    # labels and strings are parsed only where text comes in: the poset
+    # text format and the command line; the rest computes on coordinates
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "re" or m.startswith("re.") for m in modules):
+                importers.add(path.stem)
+    assert importers <= {"textfmt", "cli"}
