@@ -11,13 +11,15 @@ width), so that one refutation proves the tame rank is the minimal width.
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import tame
 from .embedding import _Budget, _embeds, embeds_r22
-from .errors import InvalidParameter, SizeLimitExceeded
+from .errors import InternalInvariantViolation, InvalidParameter, SizeLimitExceeded
 from .poset import Poset, build_poset
 from .templates import r_lambda
 from .textfmt import poset_json
@@ -179,20 +181,156 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     return tame_here, failures
 
 
+_FORK_MIN = 1000  # a stream this long is split across processes
+_MAX_WORKERS = 8
+
+
+def _workers() -> int:
+    """Processes to share a long sweep: the usable CPUs, at most _MAX_WORKERS.
+
+    1 (no fork) where ``os.fork`` or ``os.sched_getaffinity`` is missing, or
+    when a second thread runs, since a forked child keeps only the thread
+    that forked it.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+
+
+def _check_share(
+    posets: Iterable[Poset],
+    budget: int | None,
+    worker: int,
+    workers: int,
+    failed_at: memoryview | tuple = (),
+) -> tuple[int, int, list[dict], int | None, Exception | None]:
+    """Check the stream positions congruent to ``worker`` mod ``workers``.
+
+    Returns (checked, tame count, counterexamples, failing index, exception).
+    The first exception stops the share and is returned, not raised, with
+    the stream position at which the serial loop would have raised it.
+    ``failed_at`` holds each worker's failing position (the largest value
+    while it has none): a share records its own there and stops before any
+    position past another's, which the serial loop would not reach.
+    """
+    checked = tame_count = 0
+    counterexamples: list[dict] = []
+    index = -1
+    try:
+        for index, p in enumerate(posets):
+            if index % workers != worker:
+                continue
+            if index > min(failed_at, default=index):
+                break
+            try:
+                tame_here, failures = check_poset(p, budget=budget)
+            except Exception as exc:
+                if failed_at:
+                    failed_at[worker] = index
+                return checked, tame_count, counterexamples, index, exc
+            checked += 1
+            tame_count += tame_here
+            for failure in failures:
+                counterexamples.append({"index": index, **failure})
+    except Exception as exc:  # the stream itself failed, reading the next position
+        return checked, tame_count, counterexamples, index + 1, exc
+    return checked, tame_count, counterexamples, None, None
+
+
+def _forked_shares(posets: Iterable[Poset], budget: int | None, workers: int) -> list:
+    """Every share of ``_check_share``: the caller's, then one per forked child.
+
+    Each child walks its own copy of the stream, pickles its share into a
+    pipe and leaves through ``os._exit``, so it runs no exit handler and
+    flushes none of the caller's buffers.  The failing positions live in
+    memory shared across the fork.  Every child is reaped before this
+    returns or raises; one cut short by an error here is killed first.
+    """
+    import mmap
+    import pickle
+    import signal
+
+    shared = mmap.mmap(-1, 8 * workers)
+    # all ones: a slot read while its one writer sets it can only read high
+    shared.write(b"\xff" * len(shared))
+    failed_at = memoryview(shared).cast("Q")
+    children = []  # (pid, read end of its pipe), until reaped
+    try:
+        for worker in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    share = _check_share(posets, budget, worker, workers, failed_at)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(pickle.dumps(share))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        shares = [_check_share(posets, budget, 0, workers, failed_at)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                report = pipe.read()
+            os.waitpid(pid, 0)
+            children.pop(0)
+            if not report:
+                raise InternalInvariantViolation(
+                    f"sweep worker {len(shares)} exited without its report"
+                )
+            shares.append(pickle.loads(report))
+        return shares
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        failed_at.release()
+        shared.close()
+
+
 def _sweep(
     n: int, posets: Iterable[Poset], budget: int | None
 ) -> VerificationReport:
-    """Run ``check_poset`` on each poset in turn and tally the report."""
-    total = 0
-    tame_count = 0
-    counterexamples: list[dict] = []
-    for index, p in enumerate(posets):
-        total += 1
-        tame_here, failures = check_poset(p, budget=budget)
-        tame_count += tame_here
-        for failure in failures:
-            counterexamples.append({"index": index, **failure})
-    return VerificationReport(n, total, tame_count, tuple(counterexamples))
+    """Run ``check_poset`` on each poset and tally the report.
+
+    A stream of at least _FORK_MIN posets is split by position across
+    ``_workers()`` processes; a shorter one is checked here alone.  Either
+    way the report, and the exception raised at the first failing position,
+    are the serial loop's.
+    """
+    stream = iter(posets)
+    head = list(itertools.islice(stream, _FORK_MIN))
+    posets = itertools.chain(head, stream)
+    workers = _workers() if len(head) == _FORK_MIN else 1
+    if workers == 1:
+        shares = [_check_share(posets, budget, 0, 1)]
+    else:
+        shares = _forked_shares(posets, budget, workers)
+    failed = [share for share in shares if share[4] is not None]
+    if failed:
+        raise min(failed, key=lambda share: share[3])[4]
+    counterexamples = sorted(
+        (c for share in shares for c in share[2]), key=lambda c: c["index"]
+    )
+    return VerificationReport(
+        n,
+        sum(share[0] for share in shares),
+        sum(share[1] for share in shares),
+        tuple(counterexamples),
+    )
 
 
 def verify_proposition(n: int, *, budget: int | None = None) -> VerificationReport:
@@ -200,8 +338,17 @@ def verify_proposition(n: int, *, budget: int | None = None) -> VerificationRepo
 
     Sweeps every poset that ``all_labeled_posets(n)`` yields, so n runs
     from 0 to ENUMERATION_CAP and its errors propagate before any check
-    runs; n = 6 (130023 posets) takes about 20 s.  Expected outcome on
-    every n: zero counterexamples.  A negative ``budget`` is refused first.
+    runs.  Expected outcome on every n: zero counterexamples.  A negative
+    ``budget`` is refused first; it bounds each search on its own.
+
+    A stream of at least 1000 posets (n = 5 and 6) is shared by W processes,
+    W the usable CPUs up to 8: the caller forks W - 1 children and each
+    process checks every W-th position.  No fork happens when W is 1, when
+    ``os.fork`` is missing or when a second thread runs.  The report, and
+    the exception raised at the first failing position, are the serial
+    loop's.  n = 6 (130023 posets) took 9.6-10.9 s of wall time and
+    18.1-18.9 s of CPU over its two processes, against 14.5-15.9 s in one
+    (Python 3.11.7, 2 CPUs of a shared x86_64 machine).
     """
     _Budget(budget)
     return _sweep(n, all_labeled_posets(n), budget)

@@ -179,6 +179,55 @@ def oracle_claim_inequalities(p: Poset, ms: list[int], Ms: list[int]) -> bool:
     )
 
 
+def oracle_sorted_coordinates(p: Poset) -> list[tuple[int, int]] | None:
+    """The sorted (m, M) list of a tame ``p``, or None when p is not tame.
+
+    p is tame exactly when its up-sets are nested.  Its down-sets then form
+    a chain too, so the completed down-set family of ``oracle_coordinates``
+    is the distinct down-sets and the empty set, and each count is a subset
+    test on label sets, quadratic rather than exponential.
+    """
+    elements = p.elements
+    up = {x: frozenset(y for y in elements if p.less(x, y)) for x in elements}
+    if any(not (a <= b or b <= a) for a in up.values() for b in up.values()):
+        return None
+    down = {x: frozenset(z for z in elements if p.less(z, x)) for x in elements}
+    cu = {x: frozenset(elements) - up[x] for x in elements}
+    downs = {frozenset(), *down.values()}
+    cus = set(cu.values())
+    return sorted(
+        (sum(s < down[x] for s in downs), sum(s < cu[x] for s in cus)) for x in elements
+    )
+
+
+def one_relation_changes(p: Poset):
+    """Every order on p's elements whose relation differs from p's in one pair.
+
+    Dropping x < y leaves an order exactly when y covers x; adding x < y for
+    incomparable x, y exactly when all below x lie below y and all above y
+    above x.  Each yield is rechecked to differ from p in that pair alone.
+    """
+    elements = p.elements
+    pairs = set(p.pairs())
+    for x in elements:
+        for y in elements:
+            if x == y or (y, x) in pairs:
+                continue
+            if (x, y) in pairs:
+                if any((x, z) in pairs and (z, y) in pairs for z in elements):
+                    continue
+                changed = pairs - {(x, y)}
+            elif all((z, y) in pairs for z in elements if (z, x) in pairs) and all(
+                (x, w) in pairs for w in elements if (y, w) in pairs
+            ):
+                changed = pairs | {(x, y)}
+            else:
+                continue
+            q = build_poset(elements, sorted(changed))
+            assert set(q.pairs()) ^ pairs == {(x, y)}
+            yield q
+
+
 def oracle_closure(elements, pairs) -> set[tuple]:
     """Every (x, y) with a nonempty path x -> y along the raw pairs, by DFS.
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from tameorders import (
     BudgetExceeded,
@@ -28,9 +28,12 @@ from tameorders.poset import at_set_bits
 from conftest import (
     antichain,
     chain,
+    interval_orders,
+    one_relation_changes,
     oracle_least_embedding,
     oracle_longest_chain,
     oracle_quartet_r22,
+    oracle_sorted_coordinates,
     posets,
 )
 
@@ -312,6 +315,51 @@ class TestIsIsomorphic:
         assert consulted == 9365
 
 
+def relabeled(p, rnd):
+    """A copy of p under fresh labels, listed in a shuffled order."""
+    name = {x: f"r{i}" for i, x in enumerate(rnd.sample(p.elements, len(p)))}
+    elements = [name[x] for x in p.elements]
+    rnd.shuffle(elements)
+    return build_poset(elements, [(name[x], name[y]) for x, y in p.pairs()])
+
+
+class TestIsomorphismByCoordinates:
+    """Tame orders are isomorphic exactly when their sorted (m, M) lists agree.
+
+    On a tame order x < y iff M(x) < m(y), so the list fixes the order up to
+    isomorphism, and the coordinates are read off the order alone.
+    """
+
+    @given(interval_orders(max_size=40), interval_orders(max_size=40))
+    @settings(max_examples=40)
+    def test_drawn_pairs(self, drawn_p, drawn_q):
+        (p, _), (q, _) = drawn_p, drawn_q
+        same = oracle_sorted_coordinates(p) == oracle_sorted_coordinates(q)
+        assert is_isomorphic(p, q) == same
+
+    @given(interval_orders(max_size=40), st.randoms(use_true_random=False))
+    @settings(max_examples=40)
+    def test_relabeling_and_one_relation_changes(self, drawn, rnd):
+        p, _ = drawn
+        coordinates = oracle_sorted_coordinates(p)
+        copy = relabeled(p, rnd)
+        assert oracle_sorted_coordinates(copy) == coordinates
+        assert is_isomorphic(p, copy) and is_isomorphic(copy, p)
+        # the copy lists its elements shuffled, so its changes come in random order
+        changes = (q for q in one_relation_changes(copy) if oracle_sorted_coordinates(q))
+        for q in itertools.islice(changes, 3):
+            assert oracle_sorted_coordinates(q) != coordinates
+            assert not is_isomorphic(p, q)
+            # with a second change back to p's relation count, the search
+            # decides, and its answer is the coordinates' comparison
+            for r in itertools.islice(
+                (r for r in one_relation_changes(q) if r.num_relations == p.num_relations), 3
+            ):
+                tame_r = oracle_sorted_coordinates(r)
+                if tame_r is not None:
+                    assert is_isomorphic(p, r) == (tame_r == coordinates)
+
+
 class TestVerifyEmbedding:
     def test_identity(self):
         p = chain(3)
@@ -371,9 +419,24 @@ class TestEmbedsR22:
                 search = find_embedding(pattern, p)
                 assert (fast is None) == (search is None)
                 if n <= 4:
-                    assert (fast is None) == (oracle_quartet_r22(p) is None)
+                    assert fast == oracle_quartet_r22(p)
                 if fast is not None:
                     assert verify_embedding(witness_copy(p, fast))
+
+    @given(interval_orders(max_size=8), st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_nontame_witness_is_the_oracle_quadruple(self, drawn, rnd):
+        # an interval order with a disjoint 2+2 mixed into its element order,
+        # and every one-relation change of it that is no longer tame: the
+        # least witness is the first quadruple of the oracle's scan
+        p, _ = drawn
+        elements = [*p.elements, "s0", "s1", "t0", "t1"]
+        rnd.shuffle(elements)
+        nontame = [build_poset(elements, [*p.pairs(), ("s0", "t0"), ("s1", "t1")])]
+        nontame += [q for q in one_relation_changes(p) if oracle_quartet_r22(q) is not None]
+        for q in nontame:
+            witness = oracle_quartet_r22(q)
+            assert witness is not None and embeds_r22(q) == witness, q.pairs()
 
 
 class TestMonotoneNonEmbedding:

@@ -1,11 +1,15 @@
 import hashlib
 import itertools
+import os
 import random
+import threading
 from collections import Counter
 
 import pytest
 
 from tameorders import (
+    BudgetExceeded,
+    InternalInvariantViolation,
     InvalidParameter,
     SizeLimitExceeded,
     all_labeled_posets,
@@ -20,6 +24,7 @@ from tameorders import (
     verify_sampled,
 )
 
+from tameorders.cli import main
 from tameorders.embedding import _target_tables
 
 from conftest import antichain, assert_order, chain, oracle_posets_by_filter
@@ -338,3 +343,166 @@ def test_negative_budget_is_refused_before_any_poset():
         verify_proposition(0, budget=-1)
     with pytest.raises(InvalidParameter, match=message):
         verify_proposition(7, budget=-1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Three workers on any host; yields the pids forked, and leaves no child.
+
+    The affinity set is faked, so a long sweep forks two children even on
+    one CPU; after the test no child of this process may remain.
+    """
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def serially(monkeypatch, run):
+    """``run()`` with every sweep checked in this process."""
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_FORK_MIN", 10**9)
+        return run()
+
+
+def fail_at(monkeypatch, faults, n=5):
+    """Make ``check_poset`` raise ``faults[i]`` on the n-point stream's poset i."""
+    stream = itertools.islice(all_labeled_posets(n), max(faults) + 1)
+    at = {p.up_masks: faults[i] for i, p in enumerate(stream) if i in faults}
+    real = enumeration.check_poset
+
+    def check(p, budget=None):
+        if p.up_masks in at:
+            raise at[p.up_masks]
+        return real(p, budget=budget)
+
+    monkeypatch.setattr(enumeration, "check_poset", check)
+
+
+class TestForkedSweep:
+    """A stream of _FORK_MIN posets or more is split by position across forks.
+
+    Worker w checks positions congruent to w mod 3 here: the caller is
+    worker 0, and each child walks its own copy of the stream.  Where any
+    long stream will do, 1500 one-point samples are the cheapest to check.
+    """
+
+    def test_reports_equal_the_serial_ones(self, forks, monkeypatch):
+        for run in (
+            lambda: verify_proposition(5),
+            lambda: verify_sampled(5, 1200, seed=3),
+        ):
+            assert run() == serially(monkeypatch, run)
+        assert len(forks) == 4
+        report = verify_proposition(5)
+        assert (report.total, report.tame_count) == (4231, 3451)
+
+    def test_planted_fault_gives_the_serial_counterexamples(
+        self, forks, monkeypatch, corrupt_rank
+    ):
+        forked = verify_proposition(5).counterexamples
+        assert forks
+        assert forked == serially(monkeypatch, lambda: verify_proposition(5)).counterexamples
+        indices = [c["index"] for c in forked]
+        assert indices == sorted(indices) and len(forked) > 1000
+        assert {i % 3 for i in indices} == {0, 1, 2}
+
+    def test_short_streams_never_fork(self, forks):
+        assert verify_proposition(4).ok
+        assert all(verify_sampled(7, 6, seed=s).ok for s in range(1, 4))
+        assert forks == []
+
+    def test_child_exception_reaches_the_caller(self, forks, monkeypatch):
+        fail_at(monkeypatch, {1001: BudgetExceeded("child"), 1500: ValueError("later")})
+        with pytest.raises(BudgetExceeded, match="child"):
+            verify_proposition(5)
+        assert forks
+
+    def test_lowest_failing_position_wins(self, forks, monkeypatch):
+        # 999 is the caller's, 1000 and 1001 its children's
+        fail_at(monkeypatch, {999: ValueError("first"), 1000: BudgetExceeded("second"),
+                              1001: InternalInvariantViolation("third")})
+        with pytest.raises(ValueError, match="first"):
+            verify_proposition(5)
+        assert forks
+
+    def test_a_failure_stops_every_share(self, forks, monkeypatch):
+        # the caller fails at position 0 of the 130023 six-point posets; each
+        # child stops at its first position past that, not after its 43341
+        fail_at(monkeypatch, {0: BudgetExceeded("first")}, n=6)
+        caller, *children = enumeration._forked_shares(all_labeled_posets(6), None, 3)
+        assert caller[0] == 0 and caller[3] == 0
+        assert isinstance(caller[4], BudgetExceeded)
+        assert all(child[3:] == (None, None) and child[0] < 10000 for child in children)
+
+    @pytest.mark.parametrize("budget", ["2", "4"])
+    def test_cli_budget_document_is_the_serial_one(self, forks, monkeypatch, capsys, budget):
+        # budget 2 first fails at position 1 (a child's), budget 4 at 33 (the caller's)
+        argv = ["verify", "--json", "--n", "5", "--budget", budget]
+        assert main(argv) == 2
+        forked = capsys.readouterr()
+        assert serially(monkeypatch, lambda: main(argv)) == 2
+        assert forked == capsys.readouterr()
+        assert '"budget-exceeded"' in forked.out and len(forks) == 2
+
+    def test_interrupt_in_the_caller_reaps_the_children(self, forks, monkeypatch):
+        caller = os.getpid()
+        real = enumeration.check_poset
+
+        def check(p, budget=None):
+            if os.getpid() == caller and forks:
+                raise KeyboardInterrupt
+            return real(p, budget=budget)
+
+        monkeypatch.setattr(enumeration, "check_poset", check)
+        with pytest.raises(KeyboardInterrupt):
+            verify_proposition(5)
+        assert len(forks) == 2
+
+    def test_child_without_a_report_is_an_internal_error(self, forks, monkeypatch):
+        caller = os.getpid()
+        real = enumeration.check_poset
+
+        def check(p, budget=None):
+            if os.getpid() != caller:
+                os._exit(0)
+            return real(p, budget=budget)
+
+        monkeypatch.setattr(enumeration, "check_poset", check)
+        with pytest.raises(InternalInvariantViolation, match="without its report"):
+            verify_sampled(1, 1500, seed=1)
+
+    def test_no_fork_with_a_second_thread(self, forks):
+        expected = verify_sampled(1, 1500, seed=1)
+        assert len(forks) == 2
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert verify_sampled(1, 1500, seed=1) == expected
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and len(forks) == 2
+
+    def test_no_fork_without_os_fork(self, forks, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert verify_sampled(1, 1500, seed=1).total == 1500
+        assert forks == []
+
+    def test_worker_count(self, monkeypatch):
+        # _workers forks nothing itself; the CPU count is capped
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert enumeration._workers() == enumeration._MAX_WORKERS == 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert enumeration._workers() == 1

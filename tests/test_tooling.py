@@ -214,14 +214,15 @@ IMPORT_ADDS = (
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # each CLI run is a fresh process; dataclasses and inspect alone once
     # took about half of its import time, and argparse (with gettext) is
-    # loaded only for help and usage errors
+    # loaded only for help and usage errors; pickle only when a long
+    # verify sweep forks its workers
     run = subprocess.run(
         [sys.executable, "-c", IMPORT_ADDS, str(PACKAGE.parent)],
         capture_output=True, text=True, check=True,
     )
     added = set(run.stdout.split())
     assert "tameorders.cli" in added
-    unwanted = {"dataclasses", "inspect", "argparse", "gettext"}
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "pickle", "multiprocessing"}
     assert added.isdisjoint(unwanted), sorted(added & unwanted)
 
 
