@@ -2,11 +2,11 @@
 
 The exhaustive generator drives the oracle-grade checks: over every labeled
 poset on up to six points, tameness must coincide with embeddability of
-the reduction into the template of its tame rank, a reduced tame poset
-must embed into no template one narrower than its tame rank, and the
-coordinate inequalities must hold.  Each narrower template
-is a restriction of the next wider one (the points with b below its
-width), so that one refutation proves the tame rank is the minimal width.
+the reduction, a well-defined reduced quotient, into the template of its
+tame rank, a reduced tame poset must embed into no template one narrower,
+and the coordinate inequalities must hold.  Each narrower template is a
+restriction of the next wider one (the points with b below its width), so
+that one refutation proves the tame rank is the minimal width.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import tame
 from .embedding import _Budget, _embeds, embeds_r22
 from .errors import InternalInvariantViolation, InvalidParameter, SizeLimitExceeded
-from .poset import Poset, build_poset
+from .poset import Poset, at_set_bits, build_poset
 from .templates import r_lambda
 from .textfmt import poset_json
 
@@ -128,19 +128,20 @@ class VerificationReport(NamedTuple):
 def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     """Run the per-instance verification checks; returns (is_tame, failures).
 
-    One pattern scan gives the verdict; later checks reuse work already
-    done and scan again only to name a witness after failing.  In order:
-    "comparability" (up/down comparability characterizes pattern freeness);
-    on tame inputs "rank-invariance" under ``reduce(check=True)``,
-    "embed-tame" into the template of the rank, "minimality" (a reduced
-    input of rank r >= 1 embeds into no width r - 1, so r is minimal) and,
-    if unreduced, "claim-inequalities" (a reduced p is its own quotient,
-    whose recheck is the same mask test); on non-tame inputs "embed-nontame"
-    (no template), a search that places the scan's witness quadruple first,
-    since no template hosts that copy of the pattern.  Each of the three
-    searches asks only whether an embedding exists, so it runs one pass of
-    ``embedding._embeds``, whose found image is verified before it counts,
-    and no witness pass; each is bounded by ``budget`` on its own.
+    Every failed claim is a failure in the list; only a search raises, over
+    ``budget`` or on a found image that fails its own check.  One pattern
+    scan gives the verdict, and no later check scans again.  In order: "comparability" (up/down comparability
+    characterizes pattern freeness); on tame inputs "quotient" (``reduce``'s
+    quotient is reduced, and lifted back through ``class_of`` it gives each
+    element its own up-set), "rank-invariance" (the quotient's rank is
+    p's), "claim-inequalities" (p's coordinates pass ``tame._recheck``),
+    "embed-tame" (the quotient embeds into the template of the rank) and,
+    on reduced p of rank r >= 1, "minimality" (no embedding into width
+    r - 1, so r is minimal); on non-tame inputs "embed-nontame" (no
+    template), a search that places the scan's witness quadruple first,
+    since no template hosts that copy of the pattern.  Each search runs one
+    existence pass of ``embedding._embeds``, which verifies its image
+    before it counts, bounded by ``budget`` on its own.
     """
     failures: list[dict] = []
 
@@ -151,33 +152,31 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     tame_here = witness is None
     u_ok, d_ok = tame.u_comparable(p), tame.d_comparable(p)
     if tame_here != u_ok or tame_here != d_ok:
-        fail(
-            "comparability",
-            f"witness={witness!r} u_comparable={u_ok} d_comparable={d_ok}",
-        )
+        detail = f"witness={witness!r} u_comparable={u_ok} d_comparable={d_ok}"
+        fail("comparability", detail)
     if tame_here:
-        quotient = tame.reduce(p, check=True).quotient
-        # raises unless the quotient's coordinates pass their recheck
-        quotient_rank = tame._reduced_coordinates(quotient)[0]
-        # a reduced p is its own quotient, whose rank was just read
-        rank = quotient_rank if quotient is p else tame._rank(p)
+        quotient, class_of = tame.reduce(p)
+        members = [0] * len(quotient)  # p's indices in each class
+        for i, x in enumerate(p.elements):
+            members[class_of[x]] |= 1 << i
+        lifted = [sum(at_set_bits(members, up)) for up in quotient.up_masks]
+        exact = p.up_masks == tuple(lifted[class_of[x]] for x in p.elements)
+        if not exact or not tame.is_reduced(quotient):
+            fail("quotient", "relation ill-defined" if not exact else "not reduced")
+        rank = tame._rank(p)
+        quotient_rank = rank if quotient is p else tame._rank(quotient)
         if quotient_rank != rank:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
+        if tame._recheck(p, rank) is None:
+            fail("claim-inequalities", "coordinate inequality violated")
         if not _embeds(quotient, r_lambda(rank), _Budget(budget)):
             fail("embed-tame", f"no brute-force embedding into width {rank}")
-        # reduce returns p itself when p is reduced: the recheck tested its claim
-        if len(quotient) < len(p):
-            if not tame.check_claim_inequalities(p):
-                fail("claim-inequalities", "coordinate inequality violated")
-        elif rank and _embeds(p, r_lambda(rank - 1), _Budget(budget)):
+        if quotient is p and rank and _embeds(p, r_lambda(rank - 1), _Budget(budget)):
             fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
     else:
         first = [p.index(x) for x in witness]
         if _embeds(p, r_lambda(len(p)), _Budget(budget), first):
-            fail(
-                "embed-nontame",
-                f"non-tame poset embedded into width {len(p)}",
-            )
+            fail("embed-nontame", f"non-tame poset embedded into width {len(p)}")
     return tame_here, failures
 
 
@@ -248,7 +247,8 @@ def _forked_shares(posets: Iterable[Poset], budget: int | None, workers: int) ->
     pipe and leaves through ``os._exit``, so it runs no exit handler and
     flushes none of the caller's buffers.  The failing positions live in
     memory shared across the fork.  Every child is reaped before this
-    returns or raises; one cut short by an error here is killed first.
+    returns or raises; one cut short by an error here is killed first, and
+    one whose caller died leaves at its next stream position.
     """
     import mmap
     import pickle
@@ -259,6 +259,7 @@ def _forked_shares(posets: Iterable[Poset], budget: int | None, workers: int) ->
     shared.write(b"\xff" * len(shared))
     failed_at = memoryview(shared).cast("Q")
     children = []  # (pid, read end of its pipe), until reaped
+    caller = os.getpid()
     try:
         for worker in range(1, workers):
             read_end, write_end = os.pipe()
@@ -271,7 +272,9 @@ def _forked_shares(posets: Iterable[Poset], budget: int | None, workers: int) ->
             if pid == 0:
                 status = 1
                 try:
-                    share = _check_share(posets, budget, worker, workers, failed_at)
+                    # an orphan (its caller killed) leaves at its next position
+                    mine = (p for p in posets if os.getppid() == caller or os._exit(1))
+                    share = _check_share(mine, budget, worker, workers, failed_at)
                     with open(write_end, "wb") as pipe:
                         pipe.write(pickle.dumps(share))
                     status = 0
@@ -301,9 +304,7 @@ def _forked_shares(posets: Iterable[Poset], budget: int | None, workers: int) ->
         shared.close()
 
 
-def _sweep(
-    n: int, posets: Iterable[Poset], budget: int | None
-) -> VerificationReport:
+def _sweep(n: int, posets: Iterable[Poset], budget: int | None) -> VerificationReport:
     """Run ``check_poset`` on each poset and tally the report.
 
     A stream of at least _FORK_MIN posets is split by position across
@@ -346,9 +347,7 @@ def verify_proposition(n: int, *, budget: int | None = None) -> VerificationRepo
     process checks every W-th position.  No fork happens when W is 1, when
     ``os.fork`` is missing or when a second thread runs.  The report, and
     the exception raised at the first failing position, are the serial
-    loop's.  n = 6 (130023 posets) took 9.6-10.9 s of wall time and
-    18.1-18.9 s of CPU over its two processes, against 14.5-15.9 s in one
-    (Python 3.11.7, 2 CPUs of a shared x86_64 machine).
+    loop's; README gives the timings.
     """
     _Budget(budget)
     return _sweep(n, all_labeled_posets(n), budget)

@@ -40,6 +40,10 @@ class NotTame(PosetError):
         super().__init__(f"not tame; witness {tuple(witness)!r}")
         self.witness = tuple(witness)
 
+    def __reduce__(self):
+        # pickle rebuilds from the witness, not from the formatted message
+        return NotTame, (self.witness,)
+
 
 class NotReduced(PosetError):
     """Two distinct elements share the same (down-set, up-set) signature."""

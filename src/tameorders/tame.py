@@ -45,13 +45,12 @@ class ReductionResult(NamedTuple):
         return self.quotient.elements
 
 
-def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
+def reduce(p: Poset) -> ReductionResult:
     """Collapse elements with equal (down-set, up-set) signatures.
 
     The quotient is the suborder induced on the representatives, and ``p``
     itself when every class is a singleton; equal signatures make this
-    independent of the choice, which ``check=True`` rechecks across every
-    cross pair when some class has several members.
+    independent of the choice, which ``check_poset`` rechecks.
     """
     class_of: dict[Label, int] = {}
     reps: list[Label] = []
@@ -62,18 +61,7 @@ def reduce(p: Poset, *, check: bool = False) -> ReductionResult:
             reps.append(x)
         class_of[x] = by_sig[sig]
     quotient = p if len(reps) == len(p) else restrict(p, reps)
-    result = ReductionResult(quotient, class_of)
-    if check and quotient is not p:
-        for ix, x in enumerate(p.elements):
-            cx = class_of[x]
-            for iy, y in enumerate(p.elements):
-                related = bool(p.up_masks[ix] >> iy & 1)
-                collapsed = bool(quotient.up_masks[cx] >> class_of[y] & 1)
-                if related != collapsed:
-                    raise InternalInvariantViolation(
-                        f"quotient relation ill-defined at {x!r}, {y!r}"
-                    )
-    return result
+    return ReductionResult(quotient, class_of)
 
 
 def _require_tame(p: Poset) -> None:
@@ -114,29 +102,37 @@ def _coordinates(p: Poset) -> tuple[list[int], list[int]]:
     return [d_pos[size] for size in d_sizes], [cu_pos[size] for size in cu_sizes]
 
 
-def _canonical_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
-    """Tame rank and the rechecked (m, M) of every element index.
+def _recheck(p: Poset, rank: int) -> tuple[list[int], list[int]] | None:
+    """(m, M) of every element index if they pass their recheck, else None.
 
-    The elements of one class share their coordinates.  The recheck: every
-    0 <= m <= M < rank, and the up-set of x is {y : m(y) > M(x)}, as
-    ``poset._masks_above`` builds it.  Passing coordinates embed p into
-    a template and so prove it tame; on failure the pattern scan raises
-    NotTame with the witness, else InternalInvariantViolation.
+    The recheck: every 0 <= m <= M < rank, and the up-set of x is
+    {y : m(y) > M(x)}, as ``poset._masks_above`` builds it; passing
+    coordinates embed p into a template and so prove it tame.
     """
-    rank = _rank(p)
     ms, Ms = _coordinates(p)
     in_range = all(0 <= m <= big < rank for m, big in zip(ms, Ms))
-    if not in_range or p.up_masks != _masks_above(ms, Ms):
+    if in_range and p.up_masks == _masks_above(ms, Ms):
+        return ms, Ms
+    return None
+
+
+def _canonical_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
+    """Tame rank and the (m, M) of every element index, which one class shares.
+
+    On a failed ``_recheck`` the pattern scan raises NotTame with the
+    witness, else InternalInvariantViolation.
+    """
+    rank = _rank(p)
+    if (coordinates := _recheck(p, rank)) is None:
         _require_tame(p)
         raise InternalInvariantViolation("canonical coordinates failed their recheck")
-    return rank, ms, Ms
+    return rank, *coordinates
 
 
 def _reduced_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
-    """``_canonical_coordinates`` of a reduced poset.
+    """``_canonical_coordinates`` of a reduced poset, else NotReduced.
 
-    NotTame (with the witness) on non-tame input, else NotReduced when two
-    elements share their signature.
+    NotTame (with the witness) comes first on non-tame input.
     """
     if not is_reduced(p):
         _require_tame(p)

@@ -1,9 +1,16 @@
 import hashlib
 import itertools
+import json
 import os
+import pickle
 import random
+import signal
+import subprocess
+import sys
 import threading
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +18,13 @@ from tameorders import (
     BudgetExceeded,
     InternalInvariantViolation,
     InvalidParameter,
+    NotTame,
     SizeLimitExceeded,
     all_labeled_posets,
+    build_poset,
     embedding,
     enumeration,
+    errors,
     format_poset,
     is_isomorphic,
     random_poset,
@@ -218,6 +228,19 @@ class TestVerifyProposition:
         assert verify_proposition(4).ok
         assert calls == {"embeds_r22": 219}
 
+    def test_one_coordinate_recheck_per_tame_poset(self, monkeypatch):
+        # claim-inequalities rechecks p itself, reduced or not, and is the
+        # only place the sweep computes coordinates
+        real, calls = tame._coordinates, []
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(tame, "_coordinates", counted)
+        assert verify_proposition(4).ok
+        assert len(calls) == 207
+
     def test_rank_too_large_fails_minimality(self, corrupt_rank):
         # every reduced tame 4-point poset embeds one below the raised rank
         report = verify_proposition(4)
@@ -304,7 +327,37 @@ class TestEverySweepCheckFires:
             return ms, Ms
 
         monkeypatch.setattr(tame, "_coordinates", shifted)
-        assert fired(verify_proposition(4)) == {"claim-inequalities": 43}
+        assert fired(verify_proposition(4)) == {"claim-inequalities": 87}
+
+    def test_corrupt_coordinates_fail_claim_inequalities(self, corrupt_coordinates):
+        assert fired(verify_proposition(4)) == {"claim-inequalities": 207}
+
+    def test_relationless_quotient_fails_quotient(self, monkeypatch):
+        # every unreduced poset but the antichain, whose one class has no
+        # relation to lose; the wrong quotient's rank and search fail too
+        monkeypatch.setattr(tame, "restrict", lambda p, keep: build_poset(keep, []))
+        assert fired(verify_proposition(4)) == {
+            "quotient": 86,
+            "rank-invariance": 86,
+            "embed-tame": 36,
+        }
+
+    def test_unreduced_quotient_fails_quotient(self, monkeypatch):
+        # a reduce that collapses nothing lifts exactly, so of the quotient
+        # check only reducedness fails, on the 87 unreduced posets; their
+        # twins find no image in the template of their rank either
+        def identity(p):
+            return tame.ReductionResult(p, {x: i for i, x in enumerate(p.elements)})
+
+        monkeypatch.setattr(tame, "reduce", identity)
+        assert fired(verify_proposition(4)) == {"quotient": 87, "embed-tame": 87}
+
+    def test_verify_reports_a_failed_quotient(self, monkeypatch, capsys):
+        # a failed claim is a counterexample (exit 3), never an internal error
+        monkeypatch.setattr(tame, "restrict", lambda p, keep: build_poset(keep, []))
+        assert main(["verify", "--json", "--n", "4"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["total"] == 219 and len(report["counterexamples"]) == 208
 
 
 class TestVerifySampled:
@@ -506,3 +559,86 @@ class TestForkedSweep:
         assert enumeration._workers() == enumeration._MAX_WORKERS == 8
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert enumeration._workers() == 1
+
+
+def test_every_error_survives_pickling():
+    # a forked worker pickles the exception it stops at for the caller
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, Exception)
+    ]
+    assert {errors.PosetError, NotTame} <= set(classes)
+    for cls in classes:
+        exc = cls(("a", "b", "c", "d")) if cls is NotTame else cls("message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
+
+
+# Runs ``verify --n 6`` on three workers whatever the host, and prints the
+# pid of each worker as it forks it.
+WORKERS_RUN = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+real_fork = os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = fork
+from tameorders.cli import main
+main(["verify", "--n", "6"])
+"""
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (nobody may reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in "ZX"
+
+
+class TestForkedFailures:
+    def test_child_not_tame_keeps_the_serial_message(self, forks, monkeypatch):
+        # position 1001 is a child's, so its NotTame reaches the caller pickled
+        witness = ("0", "1", "2", "3")
+        fail_at(monkeypatch, {1001: NotTame(witness)})
+        with pytest.raises(NotTame) as forked:
+            verify_proposition(5)
+        assert forks
+        with pytest.raises(NotTame) as serial:
+            serially(monkeypatch, lambda: verify_proposition(5))
+        assert str(forked.value) == str(serial.value)
+        assert forked.value.witness == witness
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states")
+    def test_workers_of_a_killed_caller_stop(self):
+        # SIGTERM kills the caller before it can reap anything; each worker
+        # must notice at its next poset, not finish its share
+        package = Path(enumeration.__file__).resolve().parents[1]
+        caller = subprocess.Popen(
+            [sys.executable, "-c", WORKERS_RUN, str(package)],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            workers = [int(caller.stdout.readline()) for _ in range(2)]
+        finally:
+            caller.terminate()
+            caller.wait(timeout=10)
+            caller.stdout.close()
+        deadline = time.monotonic() + 2
+        while (alive := [pid for pid in workers if running(pid)]) and (
+            time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []

@@ -6,8 +6,9 @@ the public records are read-only tuples of their fields, with the facts
 derived from those fields as read-only properties; no module imports a
 name it never uses, the modules import one another at their tops and in no
 cycle, every public function or class is exported or used by the package,
-and importing the CLI loads none of ``dataclasses``, ``inspect``,
-``argparse`` and ``gettext``.
+no function takes a ``bool`` parameter with a default, and importing the
+CLI loads none of ``dataclasses``, ``inspect``, ``argparse`` and
+``gettext``.
 """
 
 import argparse
@@ -349,3 +350,41 @@ def test_only_the_text_edges_import_re():
             if any(m == "re" or m.startswith("re.") for m in modules):
                 importers.add(path.stem)
     assert importers <= {"textfmt", "cli"}
+
+
+def bool_defaults(source: str) -> list[str]:
+    """Parameters annotated ``bool`` that have a default, as function(parameter)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        keywords = zip(args.kwonlyargs, args.kw_defaults)
+        defaulted += [arg for arg, default in keywords if default is not None]
+        found += [
+            f"{node.name}({arg.arg})"
+            for arg in defaulted
+            if arg.annotation and ast.unparse(arg.annotation).strip("'\"") == "bool"
+        ]
+    return found
+
+
+def test_bool_default_check_flags_only_defaulted_bools():
+    source = (
+        "def f(a: bool, b: bool = True, *, c: bool = False, d: bool, e: int = 0): pass\n"
+        "class C:\n    def m(self, x: 'bool' = False, y=True): pass\n"
+    )
+    assert bool_defaults(source) == ["f(b)", "f(c)", "m(x)"]
+
+
+def test_no_function_takes_a_bool_knob():
+    # a boolean keyword with a default is a second code path chosen per
+    # call; each check it would switch on belongs where its result is used
+    found = {
+        path.name: knobs
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (knobs := bool_defaults(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
