@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
 from . import enumeration, tame, templates
-from .embedding import pattern_r22, pattern_s_n2
+from .embedding import Embedding, pattern_r22, pattern_s_n2
 from .errors import (
     BudgetExceeded,
     FormatError,
@@ -29,7 +29,7 @@ from .errors import (
     PosetError,
 )
 from .poset import Poset
-from .textfmt import format_poset, parse_poset, poset_json_text
+from .textfmt import format_poset, parse_poset, poset_json, poset_json_text
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -46,6 +46,12 @@ def _emit_json(payload: dict) -> None:
     # reduce and gen print relation lists through poset_json_text instead,
     # one up-mask row at a time and byte-identical to this sorted json.dumps.
     print(json.dumps(payload, sort_keys=True))
+
+
+def _embedding_json(e: Embedding) -> dict:
+    # labels go out as they are: parse_poset reads every input label as its
+    # own string id, and the template labels are strings too
+    return {"source": e.source.elements, "target": e.target.elements, "map": e.mapping}
 
 
 def _json_object(parts: dict[str, str]) -> str:
@@ -80,7 +86,9 @@ def _cmd_check(args) -> int:
     p = _load(args.file)
     report = tame.is_tame(p)
     if args.json:
-        _emit_json(report.to_json())
+        fields = {"tame": report.tame, "witness": report.witness,
+                  "tame_rank": report.tame_rank, "embedding": report.coordinates}
+        _emit_json({k: v for k, v in fields.items() if v is not None})
     elif report.tame:
         print("tame")
         print(f"tame rank: {report.tame_rank}")
@@ -109,7 +117,7 @@ def _cmd_rank(args) -> int:
 def _cmd_embed(args) -> int:
     p = _load(args.file)
     if args.json:
-        _emit_json(templates.canonical_embedding(p).to_json())
+        _emit_json(_embedding_json(templates.canonical_embedding(p)))
     else:
         # the text form prints only the coordinates, so no template is built
         _, ms, Ms = tame._reduced_coordinates(p)
@@ -147,7 +155,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_realize(args) -> int:
     p = _load(args.file)
     result = templates.realize(p)
-    _emit_json(result.to_json())
+    _emit_json({"w": result.w, "iso": _embedding_json(result.iso)})
     return EXIT_OK
 
 
@@ -163,7 +171,12 @@ def _cmd_verify(args) -> int:
     else:
         report = enumeration.verify_proposition(args.n, budget=args.budget)
     if args.json:
-        _emit_json(report.to_json())
+        counterexamples = [
+            {"index": c["index"], "check": c["check"], "detail": c["detail"]}
+            | poset_json(c["poset"])
+            for c in report.counterexamples
+        ]
+        _emit_json({**report._asdict(), "counterexamples": counterexamples})
     else:
         print(
             f"n={report.n}: {report.total} posets, {report.tame_count} tame, "

@@ -32,13 +32,6 @@ class Embedding(NamedTuple):
     target: Poset
     mapping: dict[Label, Label]
 
-    def to_json(self) -> dict:
-        return {
-            "source": [str(x) for x in self.source.elements],
-            "target": [str(x) for x in self.target.elements],
-            "map": {str(k): str(v) for k, v in self.mapping.items()},
-        }
-
 
 def pattern_r22() -> Poset:
     """The forbidden 4-element pattern: two disjoint 2-chains x0<y0, x1<y1."""

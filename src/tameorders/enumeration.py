@@ -22,7 +22,6 @@ from .embedding import _Budget, _embeds, embeds_r22
 from .errors import InternalInvariantViolation, InvalidParameter, SizeLimitExceeded
 from .poset import Poset, at_set_bits, build_poset
 from .templates import r_lambda
-from .textfmt import poset_json
 
 ENUMERATION_CAP = 6
 
@@ -110,7 +109,10 @@ def random_poset(n: int, edge_probability: float, seed: int) -> Poset:
 
 
 class VerificationReport(NamedTuple):
-    """Counts and counterexamples from a verification sweep."""
+    """Counts and counterexamples from a verification sweep.
+
+    A counterexample is a ``check_poset`` failure and its stream "index".
+    """
 
     n: int
     total: int
@@ -121,16 +123,14 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def to_json(self) -> dict:
-        return {**self._asdict(), "counterexamples": list(self.counterexamples)}
-
 
 def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     """Run the per-instance verification checks; returns (is_tame, failures).
 
-    Every failed claim is a failure in the list; only a search raises, over
-    ``budget`` or on a found image that fails its own check.  One pattern
-    scan gives the verdict, and no later check scans again.  In order: "comparability" (up/down comparability
+    Every failed claim is a failure {"check", "detail", "poset": p} in the
+    list; only a search raises, over ``budget`` or on a found image that
+    fails its own check.  One pattern scan gives the verdict, and no later
+    check scans again.  In order: "comparability" (up/down comparability
     characterizes pattern freeness); on tame inputs "quotient" (``reduce``'s
     quotient is reduced, and lifted back through ``class_of`` it gives each
     element its own up-set), "rank-invariance" (the quotient's rank is
@@ -146,7 +146,7 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     failures: list[dict] = []
 
     def fail(kind: str, detail: str) -> None:
-        failures.append({"check": kind, "detail": detail, **poset_json(p)})
+        failures.append({"check": kind, "detail": detail, "poset": p})
 
     witness = embeds_r22(p)
     tame_here = witness is None
@@ -205,58 +205,57 @@ def _check_share(
     budget: int | None,
     worker: int,
     workers: int,
-    failed_at: memoryview | tuple = (),
+    failed_at: memoryview,
 ) -> tuple[int, int, list[dict], int | None, Exception | None]:
     """Check the stream positions congruent to ``worker`` mod ``workers``.
 
-    Returns (checked, tame count, counterexamples, failing index, exception).
-    The first exception stops the share and is returned, not raised, with
-    the stream position at which the serial loop would have raised it.
+    Returns (checked, tame count, counterexamples, failing position,
+    exception).  The first exception, of a check or of the stream reading
+    its next poset, stops the share and is returned, not raised, with the
+    stream position at which the serial loop would have raised it.
     ``failed_at`` holds each worker's failing position (the largest value
     while it has none): a share records its own there and stops before any
     position past another's, which the serial loop would not reach.
     """
-    checked = tame_count = 0
+    checked = tame_count = position = 0
     counterexamples: list[dict] = []
-    index = -1
     try:
-        for index, p in enumerate(posets):
-            if index % workers != worker:
-                continue
-            if index > min(failed_at, default=index):
-                break
-            try:
+        for p in posets:
+            if position % workers == worker:
+                if position > min(failed_at):
+                    break
                 tame_here, failures = check_poset(p, budget=budget)
-            except Exception as exc:
-                if failed_at:
-                    failed_at[worker] = index
-                return checked, tame_count, counterexamples, index, exc
-            checked += 1
-            tame_count += tame_here
-            for failure in failures:
-                counterexamples.append({"index": index, **failure})
-    except Exception as exc:  # the stream itself failed, reading the next position
-        return checked, tame_count, counterexamples, index + 1, exc
+                checked += 1
+                tame_count += tame_here
+                counterexamples += ({"index": position, **f} for f in failures)
+            position += 1
+    except Exception as exc:
+        failed_at[worker] = position
+        return checked, tame_count, counterexamples, position, exc
     return checked, tame_count, counterexamples, None, None
 
 
-def _forked_shares(posets: Iterable[Poset], budget: int | None, workers: int) -> list:
+def _shares(posets: Iterable[Poset], budget: int | None, workers: int) -> list:
     """Every share of ``_check_share``: the caller's, then one per forked child.
 
-    Each child walks its own copy of the stream, pickles its share into a
-    pipe and leaves through ``os._exit``, so it runs no exit handler and
-    flushes none of the caller's buffers.  The failing positions live in
-    memory shared across the fork.  Every child is reaped before this
-    returns or raises; one cut short by an error here is killed first, and
-    one whose caller died leaves at its next stream position.
+    ``workers - 1`` children are forked, none when ``workers`` is 1.  Each
+    child walks its own copy of the stream, pickles its share into a pipe
+    and leaves through ``os._exit``, so it runs no exit handler and flushes
+    none of the caller's buffers.  The failing positions live in memory
+    shared across the fork.  Every child is reaped before this returns or
+    raises; one cut short by an error here is killed first, and one whose
+    caller died leaves at its next stream position.
     """
-    import mmap
-    import pickle
-    import signal
+    if workers > 1:  # a sweep that forks nothing imports and maps none of this
+        import mmap
+        import pickle
+        import signal
 
-    shared = mmap.mmap(-1, 8 * workers)
+        shared = mmap.mmap(-1, 8 * workers)
+    else:
+        shared = bytearray(8)
     # all ones: a slot read while its one writer sets it can only read high
-    shared.write(b"\xff" * len(shared))
+    shared[:] = b"\xff" * len(shared)
     failed_at = memoryview(shared).cast("Q")
     children = []  # (pid, read end of its pipe), until reaped
     caller = os.getpid()
@@ -301,7 +300,8 @@ def _forked_shares(posets: Iterable[Poset], budget: int | None, workers: int) ->
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         failed_at.release()
-        shared.close()
+        if workers > 1:
+            shared.close()
 
 
 def _sweep(n: int, posets: Iterable[Poset], budget: int | None) -> VerificationReport:
@@ -316,10 +316,7 @@ def _sweep(n: int, posets: Iterable[Poset], budget: int | None) -> VerificationR
     head = list(itertools.islice(stream, _FORK_MIN))
     posets = itertools.chain(head, stream)
     workers = _workers() if len(head) == _FORK_MIN else 1
-    if workers == 1:
-        shares = [_check_share(posets, budget, 0, 1)]
-    else:
-        shares = _forked_shares(posets, budget, workers)
+    shares = _shares(posets, budget, workers)
     failed = [share for share in shares if share[4] is not None]
     if failed:
         raise min(failed, key=lambda share: share[3])[4]

@@ -191,16 +191,6 @@ class TameReport(_TameFields):
         # namedtuple's _make, and _replace through it, would skip __new__
         return cls(*iterable)
 
-    def to_json(self) -> dict:
-        out: dict = {"tame": self.tame}
-        if self.witness is not None:
-            out["witness"] = [str(x) for x in self.witness]
-        if self.tame_rank is not None:
-            out["tame_rank"] = self.tame_rank
-        if self.coordinates is not None:
-            out["embedding"] = {str(x): list(c) for x, c in self.coordinates.items()}
-        return out
-
 
 def is_tame(p: Poset) -> TameReport:
     """Tameness verdict with witness or rank, plus the canonical coordinates.

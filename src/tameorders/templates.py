@@ -119,9 +119,6 @@ class RealizeResult(NamedTuple):
                     hi.append(b)
         return _interval_order(tuple(elements), lo, hi)
 
-    def to_json(self) -> dict:
-        return {"w": [str(x) for x in self.w], "iso": self.iso.to_json()}
-
 
 def realize(s: Poset) -> RealizeResult:
     """Produce a tame order as a restriction of an inflated template.

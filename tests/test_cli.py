@@ -329,6 +329,18 @@ class TestVerify:
                 r"  \[\d+\] minimality: embeds into width \d+ < tame rank \d+", line
             )
 
+    def test_counterexample_document_bytes(self, corrupt_rank):
+        # the raised rank fails minimality on the 120 reduced tame posets;
+        # each counterexample is its index, check and detail plus the
+        # checked poset's ids and relations
+        code, out, _ = call(["verify", "--json", "--n", "4"])
+        assert code == 3 and len(out.encode()) == 21976
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b04a2f42db1a6d4cb76510b21231ec62e45a07190eafaae70e826dbe94b55608"
+        )
+        first = json.loads(out)["counterexamples"][0]
+        assert sorted(first) == ["check", "detail", "elements", "index", "relations"]
+
     def test_too_large_without_opt_in(self, capsys):
         # n = 6 runs with no flag (about 40 s); n = 7 is past the one cap
         code, out, err = run(capsys, "verify", "--n", "7")

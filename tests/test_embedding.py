@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from tameorders import (
     build_poset,
     embeds_r22,
     find_embedding,
+    format_poset,
     is_isomorphic,
     pattern_r22,
     pattern_s_n2,
@@ -22,6 +24,7 @@ from tameorders import (
 )
 
 from tameorders import embedding, enumeration
+from tameorders.cli import main
 from tameorders.embedding import _Budget, _embeds, _preserves_order, _target_tables
 from tameorders.poset import at_set_bits
 
@@ -452,11 +455,13 @@ class TestMonotoneNonEmbedding:
         assert find_embedding(bigger, r_lambda(2)) is None
 
 
-def test_embedding_json_shape():
-    emb = find_embedding(chain(2), chain(3))
-    obj = emb.to_json()
-    assert obj == {
+def test_embedding_json_shape(capsys, tmp_path):
+    # the CLI writes the one embedding document, from the record's fields
+    path = tmp_path / "c2.poset"
+    path.write_text(format_poset(chain(2)))
+    assert main(["embed", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "source": ["c0", "c1"],
-        "target": ["c0", "c1", "c2"],
-        "map": {"c0": "c0", "c1": "c1"},
+        "target": ["0,0", "0,1", "1,1"],
+        "map": {"c0": "0,0", "c1": "1,1"},
     }

@@ -271,8 +271,18 @@ class TestVerifyProposition:
             verify_proposition(7, allow_large=True)
 
     def test_json_shape(self):
-        obj = verify_proposition(2).to_json()
-        assert obj == {"n": 2, "total": 3, "tame_count": 3, "counterexamples": []}
+        # the CLI writes the document from these fields (test_cli pins it)
+        assert verify_proposition(2)._asdict() == {
+            "n": 2, "total": 3, "tame_count": 3, "counterexamples": ()
+        }
+
+    def test_counterexamples_carry_their_poset(self, corrupt_rank):
+        stream = list(all_labeled_posets(4))
+        report = verify_proposition(4)
+        assert len(report.counterexamples) == 120
+        for c in report.counterexamples:
+            assert set(c) == {"index", "check", "detail", "poset"}
+            assert c["poset"] == stream[c["index"]]
 
     @pytest.mark.slow
     def test_six(self):
@@ -373,9 +383,7 @@ class TestVerifySampled:
         assert report.ok
 
     def test_deterministic(self):
-        a = verify_sampled(5, 10, seed=3).to_json()
-        b = verify_sampled(5, 10, seed=3).to_json()
-        assert a == b
+        assert verify_sampled(5, 10, seed=3) == verify_sampled(5, 10, seed=3)
 
     def test_bad_arguments(self):
         with pytest.raises(InvalidParameter):
@@ -493,7 +501,7 @@ class TestForkedSweep:
         # the caller fails at position 0 of the 130023 six-point posets; each
         # child stops at its first position past that, not after its 43341
         fail_at(monkeypatch, {0: BudgetExceeded("first")}, n=6)
-        caller, *children = enumeration._forked_shares(all_labeled_posets(6), None, 3)
+        caller, *children = enumeration._shares(all_labeled_posets(6), None, 3)
         assert caller[0] == 0 and caller[3] == 0
         assert isinstance(caller[4], BudgetExceeded)
         assert all(child[3:] == (None, None) and child[0] < 10000 for child in children)

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -16,6 +17,7 @@ from tameorders import (
     check_claim_inequalities,
     d_comparable,
     embeds_r22,
+    format_poset,
     is_isomorphic,
     is_reduced,
     is_tame,
@@ -29,6 +31,7 @@ from tameorders import (
     u_comparable,
     verify_embedding,
 )
+from tameorders.cli import main
 from tameorders.poset import at_set_bits
 
 from conftest import (
@@ -84,12 +87,19 @@ class TestIsTame:
         assert report.tame and report.tame_rank == 1
         assert report.coordinates is None
 
-    def test_json_shapes(self):
-        bad = is_tame(pattern_r22()).to_json()
-        assert bad == {"tame": False, "witness": ["x0", "x1", "y0", "y1"]}
-        good = is_tame(pattern_s_n2(2)).to_json()
+    def test_json_shapes(self, capsys, tmp_path):
+        # the CLI writes the one verdict document, from the report's fields
+        def check(p):
+            path = tmp_path / "in.poset"
+            path.write_text(format_poset(p))
+            main(["check", "--json", str(path)])
+            return json.loads(capsys.readouterr().out)
+
+        assert check(pattern_r22()) == {"tame": False, "witness": ["x0", "x1", "y0", "y1"]}
+        good = check(pattern_s_n2(2))
         assert good["tame"] and good["tame_rank"] == 3
         assert good["embedding"]["x1"] == [0, 0]
+        assert check(antichain(2)) == {"tame": True, "tame_rank": 1}
 
     def test_coordinates_agree_with_canonical_embedding(self):
         for n in range(6):
@@ -97,8 +107,8 @@ class TestIsTame:
                 if embeds_r22(p) is not None or not is_reduced(p):
                     continue
                 mapping = canonical_embedding(p).mapping
-                assert is_tame(p).to_json()["embedding"] == {
-                    str(x): list(oracle_point(y)) for x, y in mapping.items()
+                assert is_tame(p).coordinates == {
+                    x: oracle_point(y) for x, y in mapping.items()
                 }
 
     def test_report_wants_witness_or_rank(self):

@@ -6,9 +6,9 @@ the public records are read-only tuples of their fields, with the facts
 derived from those fields as read-only properties; no module imports a
 name it never uses, the modules import one another at their tops and in no
 cycle, every public function or class is exported or used by the package,
-no function takes a ``bool`` parameter with a default, and importing the
-CLI loads none of ``dataclasses``, ``inspect``, ``argparse`` and
-``gettext``.
+no function takes a ``bool`` parameter with a default, no module of the
+pipeline writes JSON, and importing the CLI loads none of
+``dataclasses``, ``inspect``, ``argparse`` and ``gettext``.
 """
 
 import argparse
@@ -323,6 +323,29 @@ def test_package_imports_form_no_cycle():
         for m in leaves:
             del imports[m]
     assert imports == {}, "on or above an import cycle: " + ", ".join(sorted(imports))
+
+
+def test_the_core_writes_no_json():
+    # the pipeline's modules hand records to the edges: only the CLI writes
+    # a JSON document, and textfmt turns a poset's labels into ids
+    found = {}
+    for module in ("poset", "embedding", "tame", "templates", "enumeration", "errors"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        imported = {
+            name
+            for node in relative_imports(tree)
+            for name in ([node.module] if node.module else [a.name for a in node.names])
+        }
+        imported |= {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        imported |= {
+            n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level
+        }
+        json_modules = {m for m in imported if m == "json" or m.startswith("json.")}
+        writers = {n.name for n in nodes if isinstance(n, ast.FunctionDef)} & {"to_json"}
+        if bad := (imported & {"textfmt", "cli"}) | json_modules | writers:
+            found[module] = sorted(bad)
+    assert found == {}
 
 
 def test_no_module_imports_a_name_it_never_uses():
