@@ -43,7 +43,6 @@ from .poset import (
 from .tame import (
     ReductionResult,
     TameReport,
-    check_claim_inequalities,
     d_comparable,
     is_reduced,
     is_tame,
@@ -81,7 +80,6 @@ __all__ = [
     "all_labeled_posets",
     "build_poset",
     "canonical_embedding",
-    "check_claim_inequalities",
     "cummings_blocks",
     "d_comparable",
     "embeds_r22",

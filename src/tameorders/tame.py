@@ -105,8 +105,9 @@ def _coordinates(p: Poset) -> tuple[list[int], list[int]]:
 def _recheck(p: Poset, rank: int) -> tuple[list[int], list[int]] | None:
     """(m, M) of every element index if they pass their recheck, else None.
 
-    The recheck: every 0 <= m <= M < rank, and the up-set of x is
-    {y : m(y) > M(x)}, as ``poset._masks_above`` builds it; passing
+    The recheck is the claim behind the canonical embedding: every
+    0 <= m <= M < rank, and M(x) < m(y) exactly when x < y, so the up-set of
+    x is {y : m(y) > M(x)} as ``poset._masks_above`` builds it; passing
     coordinates embed p into a template and so prove it tame.
     """
     ms, Ms = _coordinates(p)
@@ -138,23 +139,6 @@ def _reduced_coordinates(p: Poset) -> tuple[int, list[int], list[int]]:
         _require_tame(p)
         raise NotReduced("canonical embedding wants a reduced poset")
     return _canonical_coordinates(p)
-
-
-def check_claim_inequalities(p: Poset) -> bool:
-    """Coordinate inequalities behind the canonical embedding.
-
-    Checks m(x) <= M(x) for every x, M(x) < m(y) whenever x < y, and
-    m(y) <= M(x) whenever x is not below y (including incomparable pairs
-    and y < x, exactly as quantified): the recheck's mask test, up masks
-    equal to ``_masks_above(m, M)``, with m(x) <= M(x) as its diagonal.
-    Passing inequalities make p an interval order, hence tame, so the
-    pattern scan runs only after one fails: NotTame (with the witness) on
-    non-tame input, else False.
-    """
-    ok = p.up_masks == _masks_above(*_coordinates(p))
-    if not ok:
-        _require_tame(p)
-    return ok
 
 
 class _TameFields(NamedTuple):

@@ -14,7 +14,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from tameorders import Poset, build_poset, find_embedding, r_lambda, tame
+from tameorders import Poset, build_poset, find_embedding, is_tame, r_lambda, reduce, tame
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -177,6 +177,18 @@ def oracle_claim_inequalities(p: Poset, ms: list[int], Ms: list[int]) -> bool:
         for i, x in enumerate(elements)
         for j, y in enumerate(elements)
     )
+
+
+def reported_coordinates(p: Poset) -> dict:
+    """{x: (m, M)} of a tame ``p``, as the public API reports them.
+
+    ``is_tame`` gives coordinates for reduced input only, so each element
+    reads those of its class in ``reduce(p).quotient``.
+    """
+    reduction = reduce(p)
+    q = reduction.quotient
+    coordinates = is_tame(q).coordinates
+    return {x: coordinates[q.elements[reduction.class_of[x]]] for x in p}
 
 
 def oracle_sorted_coordinates(p: Poset) -> list[tuple[int, int]] | None:

@@ -16,7 +16,6 @@ import pytest
 import tameorders
 from tameorders import (
     all_labeled_posets,
-    check_claim_inequalities,
     cummings_blocks,
     d_comparable,
     embeds_r22,
@@ -35,7 +34,7 @@ from tameorders import (
     verify_proposition,
 )
 
-from conftest import oracle_longest_chain
+from conftest import oracle_claim_inequalities, oracle_longest_chain, reported_coordinates
 
 
 def report(criterion: str) -> None:
@@ -107,13 +106,24 @@ def test_criterion_05_minimality(sweep):
     report("5 (brute-force minimal width equals tame rank, n <= 5)")
 
 
+def claim_holds(p) -> bool:
+    """The pairwise claim on the coordinates the public API reports for p."""
+    coordinates = reported_coordinates(p)
+    ms = [coordinates[x][0] for x in p.elements]
+    Ms = [coordinates[x][1] for x in p.elements]
+    return oracle_claim_inequalities(p, ms, Ms)
+
+
 def test_criterion_06_claim_inequalities():
+    tame_count = 0
     for n in range(6):
         for p in all_labeled_posets(n):
             if embeds_r22(p) is None:
-                assert check_claim_inequalities(p)
+                tame_count += 1
+                assert claim_holds(p)
+    assert tame_count == 3682
     for lam in range(7):
-        assert check_claim_inequalities(r_lambda(lam))
+        assert claim_holds(r_lambda(lam))
     report("6 (coordinate inequalities, tame posets n <= 5 and widths <= 6)")
 
 

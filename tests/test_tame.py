@@ -3,7 +3,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from tameorders import (
     BudgetExceeded,
@@ -14,18 +14,19 @@ from tameorders import (
     all_labeled_posets,
     build_poset,
     canonical_embedding,
-    check_claim_inequalities,
     d_comparable,
     embeds_r22,
     format_poset,
     is_isomorphic,
     is_reduced,
     is_tame,
+    parse_poset,
     pattern_r22,
     pattern_s_n2,
     r_lambda,
     realize,
     reduce,
+    restrict,
     tame,
     tame_rank,
     u_comparable,
@@ -38,13 +39,17 @@ from conftest import (
     antichain,
     chain,
     interval_orders,
+    one_relation_changes,
     oracle_claim_inequalities,
     oracle_coordinates,
+    oracle_inflate,
     oracle_longest_chain,
     oracle_minimal_rank,
     oracle_point,
+    oracle_sorted_coordinates,
     oracle_zero_one_fishburn,
     posets,
+    reported_coordinates,
 )
 
 
@@ -421,46 +426,61 @@ class TestRigidityAndDuality:
                 )
 
 
+def recheck(p):
+    """``tame._recheck`` at p's own rank: the library's one test of the claim."""
+    return tame._recheck(p, tame._rank(p))
+
+
+def assert_claim_holds(p):
+    coordinates = recheck(p)
+    assert coordinates == tame._coordinates(p)
+    assert oracle_claim_inequalities(p, *coordinates)
+
+
 class TestClaimInequalities:
     def test_template(self):
-        assert check_claim_inequalities(r_lambda(5))
+        assert_claim_holds(r_lambda(5))
 
     def test_s22(self):
-        assert check_claim_inequalities(pattern_s_n2(2))
+        assert_claim_holds(pattern_s_n2(2))
 
     def test_not_tame(self):
         with pytest.raises(NotTame):
-            check_claim_inequalities(pattern_r22())
+            tame._canonical_coordinates(pattern_r22())
 
     def test_corrupt_coordinate_is_caught(self, corrupt_coordinates):
-        assert not check_claim_inequalities(pattern_s_n2(2))
-        assert not check_claim_inequalities(r_lambda(3))
+        assert recheck(pattern_s_n2(2)) is None
+        assert recheck(r_lambda(3)) is None
 
     def test_exhaustive_small(self):
         for n in range(5):
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is None:
-                    assert check_claim_inequalities(p)
+                    assert_claim_holds(p)
 
     def test_not_tame_raises_on_every_small_poset(self):
-        # passing inequalities prove tameness, so only a failure scans, and
-        # every non-tame poset fails one
+        # passing inequalities prove tameness, so every non-tame poset fails
+        # the recheck, and only then does the pattern scan run
         five_point = 0
         for n in range(6):
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is not None:
                     five_point += n == 5
+                    assert recheck(p) is None
                     with pytest.raises(NotTame):
-                        check_claim_inequalities(p)
+                        tame._canonical_coordinates(p)
         assert five_point == 780
 
     def test_agrees_with_pairwise_oracle_under_unit_shifts(self, monkeypatch):
-        # the true coordinates, then each one m or M moved by -1 or +1
+        # the true coordinates, then each one m or M moved by -1 or +1; the
+        # recheck passes exactly when the pairs do and every value lies in
+        # 0..rank-1
         real = tame._coordinates
         refuted = Counter()
         for n in range(5):
             for p in all_labeled_posets(n):
                 ms, Ms = real(p)
+                rank = tame._rank(p)
                 variants = [(ms, Ms)]
                 for i in range(n):
                     for step in (-1, 1):
@@ -473,15 +493,28 @@ class TestClaimInequalities:
                     monkeypatch.setattr(
                         tame, "_coordinates", lambda q, c=coords: (c[0][:], c[1][:])
                     )
-                    expected = oracle_claim_inequalities(p, *coords)
+                    in_range = all(0 <= v < rank for v in (*coords[0], *coords[1]))
+                    expected = in_range and oracle_claim_inequalities(p, *coords)
                     refuted[tame_here] += not expected
-                    if expected or tame_here:
-                        assert check_claim_inequalities(p) is expected
-                    else:
-                        with pytest.raises(NotTame):
-                            check_claim_inequalities(p)
-        # every variant of the 12 non-tame posets on 4 points is refuted
-        assert refuted == {True: 2762, False: 204}
+                    assert tame._recheck(p, rank) == (coords if expected else None)
+        # every variant of the 12 non-tame posets on 4 points is refuted; of
+        # the tame variants, 806 pass the pairs with a value out of range
+        assert refuted == {True: 3568, False: 204}
+
+    @given(interval_orders(max_size=30))
+    @settings(max_examples=20)
+    def test_mid_size_orders_and_their_one_relation_changes(self, drawn):
+        # a one-relation change of an interval order may leave it tame or
+        # not; the recheck passes exactly on the tame ones, with the oracle's
+        # coordinates
+        p, _ = drawn
+        for q in (p, *one_relation_changes(p)):
+            coordinates = recheck(q)
+            expected = oracle_sorted_coordinates(q)
+            assert (coordinates is None) == (expected is None)
+            if coordinates is not None:
+                assert sorted(zip(*coordinates)) == expected
+                assert oracle_claim_inequalities(q, *coordinates)
 
 
 def test_reduced_tame_embedding_verifies_exhaustively_small():
@@ -523,6 +556,51 @@ def test_interval_orders_match_their_interval_counts(case):
         )
         for x in p
     }
-    assert {x: coordinates[q.elements[reduction.class_of[x]]] for x in p} == expected
+    assert reported_coordinates(p) == expected
     result = realize(p)
     assert {result.iso.mapping[w]: oracle_point(w) for w in result.w} == expected
+
+
+class TestMetamorphicAtMidSizes:
+    """Relations between an interval order and one built from it.
+
+    The exhaustive sweeps check each at n <= 5; these draw up to 150
+    elements, and the coordinates are those the public API reports.
+    """
+
+    @given(interval_orders(150))
+    @settings(max_examples=30)
+    def test_dual_reflects_the_coordinates(self, drawn):
+        p, _ = drawn
+        dual = build_poset(p.elements, [(y, x) for x, y in p.pairs()])
+        k = tame_rank(p)
+        assert tame_rank(dual) == k
+        coordinates = reported_coordinates(p)
+        reflected = {x: (k - 1 - big, k - 1 - m) for x, (m, big) in coordinates.items()}
+        assert reported_coordinates(dual) == reflected
+
+    @given(interval_orders(150), st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_inflated_copies_keep_the_coordinates(self, drawn, rnd):
+        p, _ = drawn
+        if not len(p):
+            return
+        inflated = oracle_inflate(p, {rnd.choice(p.elements): 3})
+        assert tame_rank(inflated) == tame_rank(p)
+        coordinates = reported_coordinates(p)
+        assert reported_coordinates(inflated) == {
+            u: coordinates[u.rpartition("#")[0]] for u in inflated
+        }
+
+    @given(interval_orders(150), st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_restriction_never_raises_the_rank(self, drawn, rnd):
+        p, _ = drawn
+        subset = rnd.sample(p.elements, rnd.randint(0, len(p)))
+        assert tame_rank(restrict(p, subset)) <= tame_rank(p)
+
+    @given(interval_orders(150))
+    @settings(max_examples=30)
+    def test_text_round_trip(self, drawn):
+        p, _ = drawn
+        assert parse_poset(format_poset(p)) == p
