@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse/IO/usage errors, 2 search budget exceeded,
-3 property-negative verdicts (not tame, not reduced, counterexamples found),
-4 internal invariant violations.  With --json the standard output is a
-single JSON document on one line, on every exit except an argparse usage
-error or -h/--help; diagnostics go to stderr.
+Exit codes: 0 success, 1 parse/IO/usage errors or out of memory, 2 search
+budget exceeded, 3 property-negative verdicts (not tame, not reduced,
+counterexamples found), 4 internal invariant violations.  With --json the
+standard output is a single JSON document on one line, on every exit except
+an argparse usage error or -h/--help; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -404,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(args, exc, EXIT_INTERNAL)
     except (PosetError, OSError) as exc:
         return _fail(args, exc, EXIT_INPUT)
+    except MemoryError as exc:
+        # CPython raises it without a message; the document needs one
+        return _fail(args, MemoryError(str(exc) or "out of memory"), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from operator import itemgetter
 
 from .errors import CycleDetected, DuplicateElement, InvalidParameter, UnknownElement
 
@@ -324,28 +323,59 @@ def _least_on_cycle(direct: list[list[int]], candidates: Iterable[int]) -> int:
     raise ValueError("no element lies on a cycle")
 
 
+def _compress_steps(keep: int, width: int) -> list[tuple[int, int]]:
+    """The (move mask, shift) steps that pack the bits of ``keep`` into the low end.
+
+    Warren's compress (Hacker's Delight, 2nd ed., section 7-4).  A bit of
+    ``keep`` must fall by the number of dropped positions below it, at most
+    d = ``width - keep.bit_count()``, so ceil(log2(d + 1)) steps of shift
+    1, 2, 4, ... suffice: step i moves the bits whose fall has bit i set.
+    That bit is the parity of the marks left in ``mk`` at or below the bit's
+    position, a parallel prefix of log2(width) shifted XORs.  A row inside
+    ``keep`` then packs as ``moved = row & move; row = row ^ moved | moved
+    >> shift`` per step.  Steps that move no bit are left out.
+    """
+    mk = ~keep << 1 & (1 << width) - 1  # a mark just above each dropped position
+    steps = []
+    for i in range((width - keep.bit_count()).bit_length()):
+        mp = mk ^ mk << 1
+        span = 2
+        while span < width:
+            mp ^= mp << span
+            span <<= 1
+        move = mp & keep
+        keep = keep ^ move | move >> (1 << i)
+        mk &= ~mp
+        if move:
+            steps.append((move, 1 << i))
+    return steps
+
+
 def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
     """Suborder induced on ``subset``, keeping p's element order.
 
-    Each distinct kept row, up or down, is compressed once.  Dense rows (see
-    :func:`_dense`) go through their bit string in one linear pass; the
-    others move one set bit at a time.
+    Each distinct kept row, up or down, is compressed once, by the steps of
+    :func:`_compress_steps`: four big-integer operations per step, whatever
+    the row holds.  A row with fewer set bits than half the steps moves one
+    set bit at a time instead.
     """
     keep = sorted({p.index(x) for x in subset})
-    width = len(p)
     pos = {old: new for new, old in enumerate(keep)}
     keep_mask = sum(1 << old for old in keep)
-    pick = itemgetter(*keep) if width > 64 and keep else None
+    steps = _compress_steps(keep_mask, len(p))
     compressed = {0: 0}
 
     def compress(row: int) -> int:
         row &= keep_mask
         out = compressed.get(row)
         if out is None:
-            if _dense(row, width):
-                out = int("".join(pick(format(row, f"0{width}b")[::-1]))[::-1], 2)
-            else:
+            if 2 * row.bit_count() < len(steps):
                 out = sum(1 << pos[j] for j in iter_bits(row))
+            else:
+                out = row
+                for move, shift in steps:
+                    moved = out & move
+                    out = out ^ moved | moved >> shift
             compressed[row] = out
         return out
 

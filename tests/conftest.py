@@ -332,6 +332,57 @@ def oracle_zero_one_fishburn(n: int) -> int:
     return total
 
 
+def oracle_fishburn_matrices(n: int):
+    """Every Fishburn matrix of weight n, as (dimension k, its nonzero entries).
+
+    A Fishburn matrix is upper triangular over nonnegative integers with no
+    zero row or column; its weight is the sum of its entries.  The cells
+    (a, b), a <= b, are filled in row-major order and pruned: each later
+    row still needs an entry, so a cell takes at most ``left - (k - 1 - a)``,
+    and the last cell of a row still empty, (a, k - 1), or of a column still
+    empty, (b, b), takes at least 1.
+    """
+    for k in range(n + 1):
+        cells = [(a, b) for a in range(k) for b in range(a, k)]
+        rows, cols, entries = [0] * k, [0] * k, []
+
+        def fill(i: int, left: int):
+            if i == len(cells):
+                if not left:
+                    yield k, tuple(entries)
+                return
+            a, b = cells[i]
+            needed = (b == k - 1 and not rows[a]) or (a == b and not cols[b])
+            for v in range(int(needed), left - (k - 1 - a) + 1):
+                rows[a] += v
+                cols[b] += v
+                if v:
+                    entries.append(v)
+                yield from fill(i + 1, left - v)
+                if v:
+                    entries.pop()
+                rows[a] -= v
+                cols[b] -= v
+
+        yield from fill(0, n)
+
+
+def oracle_ascent_sequences(n: int):
+    """The number of ascents of every ascent sequence of length n >= 1.
+
+    An ascent sequence starts at 0, and each later entry is at most one more
+    than the number of ascents (entries above their predecessor) before it.
+    """
+    stack = [(1, 0, 0)] if n else []  # (length, last entry, ascents)
+    while stack:
+        length, last, ascents = stack.pop()
+        if length == n:
+            yield ascents
+            continue
+        for x in range(ascents + 2):
+            stack.append((length + 1, x, ascents + (x > last)))
+
+
 def oracle_posets_by_filter(n: int) -> set[tuple[int, ...]]:
     """All transitively closed irreflexive relations on n points, as mask rows."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]

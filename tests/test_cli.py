@@ -975,16 +975,19 @@ class TestRecognizer:
         assert usage == missing_err.partition("tameorders verify: error: ")[0]
         assert usage.startswith("usage: tameorders verify [-h] [--json] --n N")
 
-def test_module_entry_point_reads_sys_argv(corpus_files):
+def run_child(*argv):
+    """A fresh interpreter with argv, importing tameorders from this checkout."""
     src = str(Path(tameorders.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, check=False, env=env, text=True
+    )
 
+
+def test_module_entry_point_reads_sys_argv(corpus_files):
     def run_module(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "tameorders", *argv],
-            capture_output=True, check=False, env=env, text=True,
-        )
+        return run_child("-m", "tameorders", *argv)
 
     for argv in (
         ["check", "--json", corpus_files["FILE"]],
@@ -999,6 +1002,28 @@ def test_module_entry_point_reads_sys_argv(corpus_files):
     assert child.stderr.endswith("error: the following arguments are required: verb\n")
     child = run_module("-h")
     assert child.returncode == 0 and child.stdout.startswith("usage: tameorders")
+
+
+def test_out_of_memory_is_one_typed_document():
+    # the child lowers its own address-space limit to 200 MB, then asks gen
+    # for R_400: 80200 elements, about 1.07e9 relations
+    program = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, hard))\n"
+        "from tameorders.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    for tail in (["--json"], []):
+        child = run_child("-c", program, "gen", "--r-lambda", "400", *tail)
+        assert child.returncode == 1
+        assert child.stderr == "out of memory\n"
+        if tail:
+            assert child.stdout.count("\n") == 1
+            doc = {"error": "memory-error", "message": "out of memory"}
+            assert json.loads(child.stdout) == doc
+        else:
+            assert child.stdout == ""
 
 
 class TestPinnedBytes:
@@ -1043,4 +1068,20 @@ class TestPinnedBytes:
         assert records == 216
         assert digest.hexdigest() == (
             "b4fa2a6692771d7a4d494e89ae4f8e108f21240f32f77d79f33c8d4874e24b1c"
+        )
+
+    def test_wide_quotients(self, tmp_path):
+        # reduce, text and --json, on random orders wider than 64 whose
+        # classes merge: a dense one and a sparse one with isolated elements
+        path = str(tmp_path / "in.poset")
+        digest = hashlib.sha256()
+        for n, prob, seed in (("100", "0.5", "1"), ("150", "0.01", "1")):
+            Path(path).write_text(call(["gen", "--random", n, prob, seed])[1])
+            code, out, err = call(["reduce", path, "--json"])
+            assert code == 0 and err == ""
+            assert int(n) > len(json.loads(out)["quotient"]["elements"]) > 64
+            digest.update(out.encode())
+            digest.update(json.dumps(call(["reduce", path])).encode())
+        assert digest.hexdigest() == (
+            "23afb5111b8378ad6f5390c130af26aba8b108f96b7fda3b86ac81b8ba730c20"
         )

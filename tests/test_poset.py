@@ -21,7 +21,7 @@ from tameorders import (
     reduce,
     restrict,
 )
-from tameorders.poset import _dense, at_set_bits
+from tameorders.poset import _compress_steps, _dense, at_set_bits
 
 from conftest import (
     antichain,
@@ -386,7 +386,7 @@ def inflated_chain(levels, copies):
 
 @pytest.fixture(scope="module")
 def kernel_cases():
-    """Orders on both sides of restrict's kernel switch (width 64, density 1/8)."""
+    """Orders on both sides of at_set_bits' kernel switch (width 64, density 1/8)."""
     rng = random.Random(6)
     cases = {
         "dense100": graph_order(rng, 100, 0.5),
@@ -398,6 +398,40 @@ def kernel_cases():
     for n in (63, 64, 65):
         cases[f"width{n}"] = graph_order(rng, n, 0.5)
     return cases
+
+
+def oracle_compress(row, kept):
+    """The bits of ``row`` at the positions ``kept``, packed in order, one at a time."""
+    return sum((row >> old & 1) << new for new, old in enumerate(kept))
+
+
+def keep_masks(width):
+    """Keep all, none, every other position either way, or all but one run."""
+    full = (1 << width) - 1
+    yield full
+    yield 0
+    yield full // 3
+    yield full ^ full // 3
+    for start, length in ((0, 1), (0, width // 2), (width // 3, width // 3), (width - 1, 1)):
+        run = (1 << length) - 1 << start if width else 0
+        yield full ^ run
+
+
+def test_compress_steps_pack_like_the_bit_by_bit_oracle():
+    rng = random.Random(8)
+    for width in range(301):
+        for keep in keep_masks(width):
+            kept = [i for i in range(width) if keep >> i & 1]
+            steps = _compress_steps(keep, width)
+            assert len(steps) <= (width - len(kept)).bit_length()
+            assert all(move and shift & shift - 1 == 0 for move, shift in steps)
+            top = 1 << kept[-1] if kept else 0
+            for row in (keep, rng.getrandbits(width) & keep, top):
+                packed = row
+                for move, shift in steps:
+                    moved = packed & move
+                    packed = packed ^ moved | moved >> shift
+                assert packed == oracle_compress(row, kept)
 
 
 class TestMaskKernels:
@@ -446,8 +480,28 @@ class TestMaskKernels:
             }
             self.assert_masks(result.quotient, reps, above, below)
 
+    def test_restrict_row_kernels(self, kernel_cases):
+        """restrict packs rows by the compress steps and bit by bit, as the oracle says.
+
+        Each subset drops one run of elements or keeps every third; a kept row
+        with fewer set bits than half the steps moves one bit at a time.
+        """
+        taken = set()
+        for labels, pairs, above, below in kernel_cases.values():
+            p = build_poset(labels, pairs)
+            n = len(labels)
+            for kept in (labels[: n // 3] + labels[2 * n // 3 :], labels[1::3]):
+                keep = sum(1 << p.index(x) for x in kept)
+                steps = len(_compress_steps(keep, n))
+                for x in kept:
+                    for row in (p.up_masks[p.index(x)], p.down_masks[p.index(x)]):
+                        if row & keep:
+                            taken.add(2 * (row & keep).bit_count() < steps)
+                self.assert_masks(restrict(p, set(kept)), kept, above, below)
+        assert taken == {False, True}
+
     def test_kernels_both_taken(self, kernel_cases):
-        """The cases reach the bit-string kernel and stay off it at width 64."""
+        """The cases reach at_set_bits' bit-string kernel and stay off it at width 64."""
         wide = []
         for labels, pairs, _, _ in kernel_cases.values():
             n = len(labels)

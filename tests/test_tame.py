@@ -40,8 +40,10 @@ from conftest import (
     chain,
     interval_orders,
     one_relation_changes,
+    oracle_ascent_sequences,
     oracle_claim_inequalities,
     oracle_coordinates,
+    oracle_fishburn_matrices,
     oracle_inflate,
     oracle_longest_chain,
     oracle_minimal_rank,
@@ -398,6 +400,39 @@ class TestMinimalRank:
             for p in all_labeled_posets(n):
                 if embeds_r22(p) is None and is_reduced(p):
                     assert oracle_minimal_rank(p) == tame_rank(p)
+
+
+FISHBURN_NUMBERS = [1, 1, 2, 5, 15, 53, 217, 1014, 5335]  # A022493, n = 0..8
+
+
+def oracle_labeled_ranks(n: int) -> Counter:
+    """Labeled interval orders on n points by tame rank, from the Fishburn matrices.
+
+    The matrix of dimension k with entries a_ij is the unlabeled interval
+    order with a_ij elements of interval [i, j]: k distinct up-sets, one per
+    column.  Only twins, elements of one interval, can be swapped (its
+    quotient is rigid), so it has n! / prod(a_ij!) labelings.
+    """
+    ranks: Counter = Counter()
+    for k, entries in oracle_fishburn_matrices(n):
+        ranks[k] += math.factorial(n) // math.prod(map(math.factorial, entries))
+    return ranks
+
+
+class TestRankDistribution:
+    """Tame ranks counted by sources that share no code with the library."""
+
+    def test_matrices_by_dimension_are_ascent_sequences_by_ascents(self):
+        for n, total in enumerate(FISHBURN_NUMBERS):
+            dimensions = Counter(k for k, _ in oracle_fishburn_matrices(n))
+            assert sum(dimensions.values()) == total
+            if n:
+                assert dimensions == Counter(a + 1 for a in oracle_ascent_sequences(n))
+
+    @pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
+    def test_labeled_rank_histogram(self, n):
+        ranks = Counter(tame_rank(p) for p in all_labeled_posets(n) if embeds_r22(p) is None)
+        assert ranks == oracle_labeled_ranks(n)
 
 
 class TestRigidityAndDuality:
