@@ -16,7 +16,7 @@ from .errors import (
     InvalidParameter,
     UnknownElement,
 )
-from .poset import Label, Poset, build_poset, is_chain, iter_bits
+from .poset import Label, Poset, _masks_above, build_poset, is_chain, iter_bits
 
 
 class Embedding(NamedTuple):
@@ -69,16 +69,6 @@ class _Budget:
         self.left -= 1
 
 
-def _at_least(masks: tuple[int, ...], n: int) -> list[int]:
-    """Entry c is the bitmask of indices whose mask has at least c bits."""
-    by_count = [0] * (n + 1)
-    for t, mask in enumerate(masks):
-        by_count[mask.bit_count()] |= 1 << t
-    for c in range(n - 1, -1, -1):
-        by_count[c] |= by_count[c + 1]
-    return by_count
-
-
 @lru_cache(maxsize=64)
 def _target_tables(target: Poset) -> tuple[Sequence[int], ...]:
     """The target side of ``_search``, built once per distinct target.
@@ -91,7 +81,10 @@ def _target_tables(target: Poset) -> tuple[Sequence[int], ...]:
     up, down = target.up_masks, target.down_masks
     full = (1 << n) - 1
     apart = tuple(full & ~(up[t] | down[t] | 1 << t) for t in range(n))
-    return up, down, apart, _at_least(up, n), _at_least(down, n)
+    cuts = range(-1, n)  # entry c: the indices whose mask has at least c bits
+    above = _masks_above([m.bit_count() for m in up], cuts)
+    below = _masks_above([m.bit_count() for m in down], cuts)
+    return up, down, apart, above, below
 
 
 def _search(
@@ -100,8 +93,9 @@ def _search(
     """Forward-checking search for a two-way embedding, assigning ``order`` in turn.
 
     The one search of the library.  The target side is ``_target_tables``:
-    the up, down and incomparable masks per target index, then the
-    ``_at_least`` tables of the up and down masks.  Every pattern element
+    the up, down and incomparable masks per target index, then the count
+    tables of the up and down masks, whose entry c holds the target indices
+    with at least c elements above or below.  Every pattern element
     keeps a domain: the bitmask of target indices still consistent with
     every assignment made so far.  It starts as the targets with at least
     as many elements below and above.  Placing s at t intersects each later

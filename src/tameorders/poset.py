@@ -50,7 +50,7 @@ def is_chain(masks: Iterable[int]) -> bool:
     return all(not a & ~b for a, b in zip(unique, unique[1:]))
 
 
-def _masks_above(values: list[int], cuts: list[int]) -> tuple[int, ...]:
+def _masks_above(values: list[int], cuts: Iterable[int]) -> tuple[int, ...]:
     """For each cut c, the bitmask of the indices i with values[i] > c.
 
     Each is an entry of a running OR over the distinct values, highest
@@ -354,30 +354,20 @@ def _compress_steps(keep: int, width: int) -> list[tuple[int, int]]:
 def restrict(p: Poset, subset: Iterable[Label]) -> Poset:
     """Suborder induced on ``subset``, keeping p's element order.
 
-    Each distinct kept row, up or down, is compressed once, by the steps of
-    :func:`_compress_steps`: four big-integer operations per step, whatever
-    the row holds.  A row with fewer set bits than half the steps moves one
-    set bit at a time instead.
+    Every kept row, up or down, is packed by the steps of
+    :func:`_compress_steps`, derived once per call: four big-integer
+    operations per step, whatever the row holds.
     """
     keep = sorted({p.index(x) for x in subset})
-    pos = {old: new for new, old in enumerate(keep)}
     keep_mask = sum(1 << old for old in keep)
     steps = _compress_steps(keep_mask, len(p))
-    compressed = {0: 0}
 
     def compress(row: int) -> int:
         row &= keep_mask
-        out = compressed.get(row)
-        if out is None:
-            if 2 * row.bit_count() < len(steps):
-                out = sum(1 << pos[j] for j in iter_bits(row))
-            else:
-                out = row
-                for move, shift in steps:
-                    moved = out & move
-                    out = out ^ moved | moved >> shift
-            compressed[row] = out
-        return out
+        for move, shift in steps:
+            moved = row & move
+            row = row ^ moved | moved >> shift
+        return row
 
     elements = tuple(p.elements[old] for old in keep)
     return Poset._trusted(

@@ -9,7 +9,9 @@ share their bugs.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -333,9 +335,10 @@ def oracle_zero_one_fishburn(n: int) -> int:
 
 
 def oracle_fishburn_matrices(n: int):
-    """Every Fishburn matrix of weight n, as (dimension k, its nonzero entries).
+    """Every Fishburn matrix of weight n, as (dimension k, {(a, b): entry}).
 
-    A Fishburn matrix is upper triangular over nonnegative integers with no
+    The dict holds the nonzero entries, keyed by cell in row-major order.  A
+    Fishburn matrix is upper triangular over nonnegative integers with no
     zero row or column; its weight is the sum of its entries.  The cells
     (a, b), a <= b, are filled in row-major order and pruned: each later
     row still needs an entry, so a cell takes at most ``left - (k - 1 - a)``,
@@ -344,12 +347,12 @@ def oracle_fishburn_matrices(n: int):
     """
     for k in range(n + 1):
         cells = [(a, b) for a in range(k) for b in range(a, k)]
-        rows, cols, entries = [0] * k, [0] * k, []
+        rows, cols, entries = [0] * k, [0] * k, {}
 
         def fill(i: int, left: int):
             if i == len(cells):
                 if not left:
-                    yield k, tuple(entries)
+                    yield k, dict(entries)
                 return
             a, b = cells[i]
             needed = (b == k - 1 and not rows[a]) or (a == b and not cols[b])
@@ -357,14 +360,63 @@ def oracle_fishburn_matrices(n: int):
                 rows[a] += v
                 cols[b] += v
                 if v:
-                    entries.append(v)
+                    entries[a, b] = v
                 yield from fill(i + 1, left - v)
-                if v:
-                    entries.pop()
+                entries.pop((a, b), None)
                 rows[a] -= v
                 cols[b] -= v
 
         yield from fill(0, n)
+
+
+def _series_product(f: list, g: list) -> list:
+    """Product of two power series given by equally many coefficients, truncated."""
+    return [sum(f[i] * g[d - i] for i in range(d + 1)) for d in range(len(f))]
+
+
+def _zagier_sum(factor, n: int, zero, one) -> list:
+    """Coefficients 0..n of the sum over j of prod_{i=1..j} factor(i).
+
+    Each factor has no constant term, so a product of j > n of them
+    vanishes up to x^n.
+    """
+    total, product = [zero] * (n + 1), [one] + [zero] * n
+    for i in range(1, n + 2):
+        total = [a + b for a, b in zip(total, product)]
+        product = _series_product(product, factor(i))
+    return total
+
+
+def zagier_series(n: int) -> list[int]:
+    """The Fishburn numbers 0..n (A022493) from Zagier's series, in integers.
+
+    sum_j prod_{i=1..j} (1 - (1 - x)^i), with (1 - x)^i expanded by the
+    binomial theorem.
+    """
+
+    def factor(i: int) -> list[int]:
+        return [0] + [-((-1) ** d) * math.comb(i, d) for d in range(1, n + 1)]
+
+    return _zagier_sum(factor, n, 0, 1)
+
+
+def zagier_exponential_series(n: int) -> list[int]:
+    """Labeled interval orders on 0..n points (A079144), in ``Fraction`` arithmetic.
+
+    Zagier's series at 1 - x = e^{-t}: n! times the coefficient of t^n in
+    sum_j prod_{i=1..j} (1 - e^{-it}), expanded as 1 - e^{-it} =
+    -sum_{d >= 1} (-i t)^d / d!.
+    """
+
+    def factor(i: int) -> list[Fraction]:
+        return [Fraction(0)] + [
+            Fraction(-((-i) ** d), math.factorial(d)) for d in range(1, n + 1)
+        ]
+
+    total = _zagier_sum(factor, n, Fraction(0), Fraction(1))
+    counts = [c * math.factorial(d) for d, c in enumerate(total)]
+    assert all(c.denominator == 1 for c in counts)
+    return [int(c) for c in counts]
 
 
 def oracle_ascent_sequences(n: int):

@@ -21,6 +21,7 @@ from tameorders import (
     reduce,
     restrict,
 )
+from tameorders.embedding import _target_tables
 from tameorders.poset import _compress_steps, _dense, at_set_bits
 
 from conftest import (
@@ -481,24 +482,37 @@ class TestMaskKernels:
             self.assert_masks(result.quotient, reps, above, below)
 
     def test_restrict_row_kernels(self, kernel_cases):
-        """restrict packs rows by the compress steps and bit by bit, as the oracle says.
+        """restrict packs every kept row by the compress steps, as the oracle says.
 
-        Each subset drops one run of elements or keeps every third; a kept row
-        with fewer set bits than half the steps moves one bit at a time.
+        Each subset drops one run of elements or keeps every third.
         """
-        taken = set()
         for labels, pairs, above, below in kernel_cases.values():
             p = build_poset(labels, pairs)
             n = len(labels)
             for kept in (labels[: n // 3] + labels[2 * n // 3 :], labels[1::3]):
-                keep = sum(1 << p.index(x) for x in kept)
-                steps = len(_compress_steps(keep, n))
-                for x in kept:
-                    for row in (p.up_masks[p.index(x)], p.down_masks[p.index(x)]):
-                        if row & keep:
-                            taken.add(2 * (row & keep).bit_count() < steps)
                 self.assert_masks(restrict(p, set(kept)), kept, above, below)
-        assert taken == {False, True}
+
+    def test_target_count_tables(self, kernel_cases):
+        """Entry c of the search's count tables: the indices with at least c above (below).
+
+        The counts come from pairwise comparisons: ``less`` on the templates,
+        the oracle's label sets on the kernel cases.
+        """
+        cases = []
+        for p in [r_lambda(lam) for lam in range(8)] + [Poset([], [])]:
+            above = [sum(p.less(x, y) for y in p) for x in p]
+            below = [sum(p.less(y, x) for y in p) for x in p]
+            cases.append((p, above, below))
+        for labels, pairs, above, below in kernel_cases.values():
+            p = build_poset(labels, pairs)
+            cases.append((p, [len(above[x]) for x in p], [len(below[x]) for x in p]))
+        for p, *counts in cases:
+            for table, count in zip(_target_tables(p)[3:], counts):
+                assert len(table) == len(p) + 1
+                # nested entries, with index i in entry count[i] but not the next
+                assert all(not later & ~entry for entry, later in zip(table, table[1:]))
+                for i, c in enumerate(count):
+                    assert table[c] >> i & 1 and not table[c + 1] >> i & 1
 
     def test_kernels_both_taken(self, kernel_cases):
         """The cases reach at_set_bits' bit-string kernel and stay off it at width 64."""

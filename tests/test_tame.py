@@ -33,6 +33,7 @@ from tameorders import (
     verify_embedding,
 )
 from tameorders.cli import main
+from tameorders.enumeration import check_poset
 from tameorders.poset import at_set_bits
 
 from conftest import (
@@ -52,6 +53,8 @@ from conftest import (
     oracle_zero_one_fishburn,
     posets,
     reported_coordinates,
+    zagier_exponential_series,
+    zagier_series,
 )
 
 
@@ -415,7 +418,7 @@ def oracle_labeled_ranks(n: int) -> Counter:
     """
     ranks: Counter = Counter()
     for k, entries in oracle_fishburn_matrices(n):
-        ranks[k] += math.factorial(n) // math.prod(map(math.factorial, entries))
+        ranks[k] += math.factorial(n) // math.prod(map(math.factorial, entries.values()))
     return ranks
 
 
@@ -433,6 +436,55 @@ class TestRankDistribution:
     def test_labeled_rank_histogram(self, n):
         ranks = Counter(tame_rank(p) for p in all_labeled_posets(n) if embeds_r22(p) is None)
         assert ranks == oracle_labeled_ranks(n)
+
+
+A022493 = [*FISHBURN_NUMBERS, 31240]  # n = 0..9
+A079144 = [1, 1, 3, 19, 207, 3451, 81663, 2602699, 107477247, 5581680571]  # labeled
+A138265 = [1, 1, 1, 2, 5, 16, 61, 271, 1372, 7795]  # 0/1 Fishburn matrices
+
+
+def fishburn_order(cells: dict):
+    """The interval order of a Fishburn matrix, built pair by pair.
+
+    Entry v at cell (a, b) gives v elements (a, b, c), c < v, of interval
+    [a, b]; x < y iff b(x) < a(y).
+    """
+    elements = [(a, b, c) for (a, b), v in cells.items() for c in range(v)]
+    return build_poset(elements, [(x, y) for x in elements for y in elements if x[1] < y[0]])
+
+
+class TestFishburnCensus:
+    """Every Fishburn matrix of weight n, as its interval order, by its own numbers.
+
+    The matrix names the rank, the coordinates of every element and the
+    number of labelings; the counts come from Zagier's series.
+    """
+
+    def test_series(self):
+        assert zagier_series(9) == A022493
+        assert zagier_exponential_series(9) == A079144
+
+    @pytest.mark.parametrize(
+        "n", [*range(8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9))]
+    )
+    def test_every_matrix(self, n):
+        matrices = zero_one = labeled = 0
+        for k, cells in oracle_fishburn_matrices(n):
+            p = fishburn_order(cells)
+            assert is_tame(p).tame
+            assert tame_rank(p) == k
+            assert reported_coordinates(p) == {x: (x[0], x[1]) for x in p}
+            dual = build_poset(p.elements, [(y, x) for x, y in p.pairs()])
+            assert reported_coordinates(dual) == {x: (k - 1 - x[1], k - 1 - x[0]) for x in p}
+            assert check_poset(p) == (True, [])
+            matrices += 1
+            zero_one += set(cells.values()) <= {1}
+            labeled += math.factorial(n) // math.prod(map(math.factorial, cells.values()))
+        assert matrices == zagier_series(n)[n] == A022493[n]
+        assert zero_one == A138265[n]
+        if n <= 7:
+            assert zero_one == oracle_zero_one_fishburn(n)
+        assert labeled == zagier_exponential_series(n)[n] == A079144[n]
 
 
 class TestRigidityAndDuality:
@@ -633,6 +685,18 @@ class TestMetamorphicAtMidSizes:
         p, _ = drawn
         subset = rnd.sample(p.elements, rnd.randint(0, len(p)))
         assert tame_rank(restrict(p, subset)) <= tame_rank(p)
+
+    @given(interval_orders(150))
+    @settings(max_examples=30)
+    def test_realize_round_trip(self, drawn):
+        # restricting the inflated template to w gives the source back, and
+        # iso carries its pairs onto p's
+        p, _ = drawn
+        result = realize(p)
+        restricted = restrict(result.inflated, result.w)
+        assert restricted == result.iso.source
+        mapping = result.iso.mapping
+        assert {(mapping[u], mapping[v]) for u, v in restricted.pairs()} == set(p.pairs())
 
     @given(interval_orders(150))
     @settings(max_examples=30)
