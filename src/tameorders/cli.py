@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 parse/IO/usage errors or out of memory, 2 search
 budget exceeded, 3 property-negative verdicts (not tame, not reduced,
 counterexamples found), 4 internal invariant violations.  With --json the
 standard output is a single JSON document on one line, on every exit except
-an argparse usage error or -h/--help; diagnostics go to stderr.
+an argparse usage error, -h/--help or a closed standard output (a broken
+pipe: a failed write exits 1, an error found before any output keeps its
+code, and stderr gets one line); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -64,12 +66,16 @@ def _fail(args, exc: Exception, code: int, payload: dict | None = None) -> int:
 
     The document defaults to {"error": kind, "message": text}, kind being
     the exception's class name in kebab case (CycleDetected -> cycle-detected).
+    A closed stdout drops the document; stderr still names ``exc``.
     """
     if args.json:
         if payload is None:
             kind = _CAMEL_BREAK.sub("-", type(exc).__name__).lower()
             payload = {"error": kind, "message": str(exc)}
-        _emit_json(payload)
+        try:
+            _emit_json(payload)
+        except BrokenPipeError:
+            pass
     print(exc, file=sys.stderr)
     return code
 
@@ -402,6 +408,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalInvariantViolation, ValueError) as exc:
         # inputs reach the library typed, so a bare ValueError is a library bug
         return _fail(args, exc, EXIT_INTERNAL)
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: no error document can reach it
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
     except (PosetError, OSError) as exc:
         return _fail(args, exc, EXIT_INPUT)
     except MemoryError as exc:

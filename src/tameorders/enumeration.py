@@ -1,12 +1,13 @@
 """Exhaustive and seeded-random poset generation, and the verification sweep.
 
-The exhaustive generator drives the oracle-grade checks: over every labeled
-poset on up to six points, tameness must coincide with embeddability of
-the reduction, a well-defined reduced quotient, into the template of its
-tame rank, a reduced tame poset must embed into no template one narrower,
-and the coordinate inequalities must hold.  Each narrower template is a
-restriction of the next wider one (the points with b below its width), so
-that one refutation proves the tame rank is the minimal width.
+The exhaustive generator grows each poset from its ideals, listed once, and
+their complements, the filters.  It drives the oracle-grade checks: over
+every labeled poset on up to six points, tameness must coincide with
+embeddability of the reduction, a well-defined reduced quotient, into the
+template of its tame rank, a reduced tame poset must embed into no template
+one narrower, and the coordinate inequalities must hold.  Each narrower
+template is a restriction of the next wider one (the points with b below
+its width), so that one refutation proves the tame rank is the minimal width.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ def all_labeled_posets(n: int) -> Iterator[Poset]:
     """Every labeled strict partial order on elements "0".."n-1", once each.
 
     Grown element by element: a poset on m+1 points is a poset on m points
-    plus a choice of (down-set, up-set) for the new point, where the
-    down-set is downward closed, the up-set is upward closed, and every
-    chosen lower element lies below every chosen upper one.  Each labeled
+    plus an (ideal, filter) pair for the new point, where every point of
+    the ideal lies below every point of the filter.  Each m-point poset
+    lists its ideals once, as the unions of its principal ideals, and its
+    filters are their complements; each ideal D, ascending, takes every
+    filter inside the points above all of D, ascending.  Each labeled
     poset arises from exactly one choice sequence, so the stream is
     duplicate-free; the order is deterministic.  ENUMERATION_CAP is the one
     limit of every exhaustive sweep: reading the stream raises
@@ -53,32 +56,24 @@ def all_labeled_posets(n: int) -> Iterator[Poset]:
             yield ups, downs
             return
         new_bit = 1 << m
-        for down in range(1 << m):
-            below = 0
-            allowed = (1 << m) - 1  # the points above every chosen lower one
-            for x in range(m):
-                if down >> x & 1:
-                    below |= downs[x]
-                    allowed &= ups[x]
-            if below & ~down:
-                continue  # down-set not downward closed
-            up = 0
-            while True:  # the subsets of allowed, ascending
-                above = 0
-                for x in range(m):
-                    if up >> x & 1:
-                        above |= ups[x]
-                if not above & ~up:  # up-set upward closed
-                    grown_ups = tuple(
-                        ups[x] | (new_bit if down >> x & 1 else 0) for x in range(m)
-                    ) + (up,)
-                    grown_downs = tuple(
-                        downs[x] | (new_bit if up >> x & 1 else 0) for x in range(m)
-                    ) + (down,)
-                    yield from grow(grown_ups, grown_downs)
-                if up == allowed:
-                    break
-                up = ((up | ~allowed) + 1) & allowed
+        # each ideal, with the points above all of it: the ideals are the
+        # unions of principal ones, and above(D | E) = above(D) & above(E)
+        above = {0: new_bit - 1}
+        for x in range(m):
+            for ideal, allowed in list(above.items()):
+                above[ideal | downs[x] | 1 << x] = allowed & ups[x]
+        ideals = sorted(above)
+        # the filters, ascending, each with its grown down rows
+        filters = [
+            (up, tuple(d | new_bit if up >> x & 1 else d for x, d in enumerate(downs)))
+            for up in ((new_bit - 1) ^ ideal for ideal in reversed(ideals))
+        ]
+        for down in ideals:
+            allowed = above[down]
+            grown = tuple(u | new_bit if down >> x & 1 else u for x, u in enumerate(ups))
+            for up, grown_downs in filters:
+                if not up & ~allowed:
+                    yield from grow(grown + (up,), grown_downs + (down,))
 
     for ups, downs in grow((), ()):
         yield Poset._trusted(labels, ups, downs, index)

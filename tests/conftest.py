@@ -99,6 +99,24 @@ def oracle_quartet_r22(p: Poset):
     return None
 
 
+def oracle_least_witness(p: Poset):
+    """``oracle_quartet_r22``'s first quadruple, in O(n^3) over label sets.
+
+    Ordered pairs (x, x2) are scanned in index order.  Each point above x
+    but not above x2, and each above x2 but not above x, completes an
+    induced two-chain pair with them; the first pair with both kinds
+    returns the least point of each.  It reads only ``p.pairs()``.
+    """
+    above = {x: set() for x in p.elements}
+    for x, y in p.pairs():
+        above[x].add(y)
+    for x, x2 in itertools.permutations(p.elements, 2):
+        only_x, only_x2 = above[x] - above[x2], above[x2] - above[x]
+        if only_x and only_x2:
+            return x, x2, min(only_x, key=p.index), min(only_x2, key=p.index)
+    return None
+
+
 def oracle_least_embedding(pattern: Poset, target: Poset) -> dict | None:
     """First two-way embedding in a brute scan over all injections, or None.
 

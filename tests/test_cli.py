@@ -975,13 +975,18 @@ class TestRecognizer:
         assert usage == missing_err.partition("tameorders verify: error: ")[0]
         assert usage.startswith("usage: tameorders verify [-h] [--json] --n N")
 
-def run_child(*argv):
+def run_child(*argv, stdout=subprocess.PIPE):
     """A fresh interpreter with argv, importing tameorders from this checkout."""
     src = str(Path(tameorders.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, check=False, env=env, text=True
+        [sys.executable, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        check=False,
+        env=env,
+        text=True,
     )
 
 
@@ -1024,6 +1029,33 @@ def test_out_of_memory_is_one_typed_document():
             assert json.loads(child.stdout) == doc
         else:
             assert child.stdout == ""
+
+
+def test_closed_stdout_is_one_stderr_line(corpus_files, tmp_path):
+    # stdout is a pipe whose reader has gone: the first write raises
+    # BrokenPipeError, and no error document can follow it there
+    one = tmp_path / "one.poset"
+    one.write_text(format_poset(chain(1)))
+    cycle = tmp_path / "cycle.poset"
+    cycle.write_text("elements: a b\nrel: a b\nrel: b a\n")
+    cases = [
+        (["gen", "--json", "--r-lambda", "3"], "[Errno 32] Broken pipe"),
+        (["gen", "--r-lambda", "3"], "[Errno 32] Broken pipe"),
+        (["check", "--json", str(one)], "[Errno 32] Broken pipe"),
+        (["check", "--json", corpus_files["R22"]], "[Errno 32] Broken pipe"),
+        (["verify", "--json", "--n", "3"], "[Errno 32] Broken pipe"),
+        (["verify", "--n", "3"], "[Errno 32] Broken pipe"),
+        # an error found before any output keeps its own message
+        (["check", "--json", str(cycle)], "closure relates 'a' to itself"),
+    ]
+    for argv, message in cases:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = run_child("-m", "tameorders", *argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (1, message + "\n"), argv
 
 
 class TestPinnedBytes:

@@ -34,6 +34,7 @@ from conftest import (
     interval_orders,
     one_relation_changes,
     oracle_least_embedding,
+    oracle_least_witness,
     oracle_longest_chain,
     oracle_quartet_r22,
     oracle_sorted_coordinates,
@@ -426,7 +427,12 @@ class TestEmbedsR22:
                 if fast is not None:
                     assert verify_embedding(witness_copy(p, fast))
 
-    @given(interval_orders(max_size=8), st.randoms(use_true_random=False))
+    def test_least_witness_oracle_is_the_quartet_scan(self):
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                assert oracle_least_witness(p) == oracle_quartet_r22(p)
+
+    @given(interval_orders(max_size=30), st.randoms(use_true_random=False))
     @settings(max_examples=30)
     def test_nontame_witness_is_the_oracle_quadruple(self, drawn, rnd):
         # an interval order with a disjoint 2+2 mixed into its element order,
@@ -436,9 +442,9 @@ class TestEmbedsR22:
         elements = [*p.elements, "s0", "s1", "t0", "t1"]
         rnd.shuffle(elements)
         nontame = [build_poset(elements, [*p.pairs(), ("s0", "t0"), ("s1", "t1")])]
-        nontame += [q for q in one_relation_changes(p) if oracle_quartet_r22(q) is not None]
+        nontame += [q for q in one_relation_changes(p) if oracle_least_witness(q) is not None]
         for q in nontame:
-            witness = oracle_quartet_r22(q)
+            witness = oracle_least_witness(q)
             assert witness is not None and embeds_r22(q) == witness, q.pairs()
 
 

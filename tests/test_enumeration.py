@@ -76,6 +76,12 @@ class TestAllLabeledPosets:
         for p in all_labeled_posets(5):
             assert_order(p)
 
+    @pytest.mark.slow
+    def test_every_six_point_poset_validates(self):
+        # all 130023 of them; run with -m slow
+        for p in all_labeled_posets(6):
+            assert_order(p)
+
     def test_closed_under_relabeling(self):
         family = {p.up_masks for p in all_labeled_posets(3)}
         for p in all_labeled_posets(3):
@@ -96,6 +102,7 @@ class TestAllLabeledPosets:
         [
             (4, "3ed2aee23b3d8d920700105a51dae006b34129ad10cb71c42c18c4a93c031638"),
             (5, "fa3401c38d61121360f5f21fdae93d1d14b1d235d0f3bbde2562260e8b7da9ad"),
+            (6, "9bcf5dba135d784042e8e5e30c420d624da3ac53c38d82433dc5cdd0be6a0505"),
         ],
     )
     def test_order_pinned(self, n, digest):

@@ -8,8 +8,9 @@ name it never uses, the modules import one another at their tops and in no
 cycle, every public function or class is exported or used by the package,
 the only exported names no module reads are the search and check API,
 no function takes a ``bool`` parameter with a default, no module of the
-pipeline writes JSON, and importing the CLI loads none of
-``dataclasses``, ``inspect``, ``argparse`` and ``gettext``.
+pipeline writes JSON, every module parses at the declared Python floor,
+and importing the CLI loads none of ``dataclasses``, ``inspect``,
+``argparse`` and ``gettext``.
 """
 
 import argparse
@@ -339,6 +340,16 @@ def test_package_imports_form_no_cycle():
         for m in leaves:
             del imports[m]
     assert imports == {}, "on or above an import cycle: " + ", ".join(sorted(imports))
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # pyproject's requires-python floor, while the suite may run on a newer
+    # interpreter: feature_version rejects later syntax such as except*.
+    # Syntax only; a standard-library name added after the floor still passes
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT.read_text())
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_the_core_writes_no_json():
