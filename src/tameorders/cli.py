@@ -4,14 +4,16 @@ Exit codes: 0 success, 1 parse/IO/usage errors or out of memory, 2 search
 budget exceeded, 3 property-negative verdicts (not tame, not reduced,
 counterexamples found), 4 internal invariant violations.  With --json the
 standard output is a single JSON document on one line, on every exit except
-an argparse usage error, -h/--help or a closed standard output (a broken
-pipe: a failed write exits 1, an error found before any output keeps its
-code, and stderr gets one line); diagnostics go to stderr.
+an argparse usage error, -h/--help or a standard output that cannot be
+written (a broken pipe, a full disk: a failed write exits 1, an error found
+before any output keeps its code, and stderr gets one line); diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from collections.abc import Callable
@@ -66,16 +68,22 @@ def _fail(args, exc: Exception, code: int, payload: dict | None = None) -> int:
 
     The document defaults to {"error": kind, "message": text}, kind being
     the exception's class name in kebab case (CycleDetected -> cycle-detected).
-    A closed stdout drops the document; stderr still names ``exc``.
+    A stdout that cannot be written (a closed pipe, a full disk) drops the
+    document and whatever is still buffered for it; stderr still names ``exc``.
     """
-    if args.json:
-        if payload is None:
-            kind = _CAMEL_BREAK.sub("-", type(exc).__name__).lower()
-            payload = {"error": kind, "message": str(exc)}
-        try:
+    try:
+        if args.json:
+            if payload is None:
+                kind = _CAMEL_BREAK.sub("-", type(exc).__name__).lower()
+                payload = {"error": kind, "message": str(exc)}
             _emit_json(payload)
-        except BrokenPipeError:
-            pass
+        sys.stdout.flush()
+    except OSError:
+        # stdout takes no more output: point it at devnull, so that the
+        # flush at interpreter exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     print(exc, file=sys.stderr)
     return code
 
@@ -397,7 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        # a block-buffered stdout that cannot be written fails here, not at exit
+        sys.stdout.flush()
+        return code
     except NotTame as exc:
         witness = [str(x) for x in exc.witness]
         return _fail(args, exc, EXIT_NEGATIVE, {"error": "not-tame", "witness": witness})
@@ -408,10 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalInvariantViolation, ValueError) as exc:
         # inputs reach the library typed, so a bare ValueError is a library bug
         return _fail(args, exc, EXIT_INTERNAL)
-    except BrokenPipeError as exc:
-        # stdout's reader is gone: no error document can reach it
-        print(exc, file=sys.stderr)
-        return EXIT_INPUT
     except (PosetError, OSError) as exc:
         return _fail(args, exc, EXIT_INPUT)
     except MemoryError as exc:

@@ -976,10 +976,16 @@ class TestRecognizer:
         assert usage.startswith("usage: tameorders verify [-h] [--json] --n N")
 
 def run_child(*argv, stdout=subprocess.PIPE):
-    """A fresh interpreter with argv, importing tameorders from this checkout."""
+    """A fresh interpreter with argv, importing tameorders from this checkout.
+
+    PYTHONUNBUFFERED is left out of the child's environment, so its stdout
+    on a pipe is block-buffered, as by default; pass ``-u`` in argv to
+    unbuffer it.
+    """
     src = str(Path(tameorders.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
     return subprocess.run(
         [sys.executable, *argv],
         stdout=stdout,
@@ -1032,8 +1038,10 @@ def test_out_of_memory_is_one_typed_document():
 
 
 def test_closed_stdout_is_one_stderr_line(corpus_files, tmp_path):
-    # stdout is a pipe whose reader has gone: the first write raises
-    # BrokenPipeError, and no error document can follow it there
+    # stdout is a pipe whose reader has gone: the first write to the pipe
+    # raises BrokenPipeError, and no error document can follow it there.
+    # Block-buffered, that write comes when main flushes, or for gen's
+    # R_12 (14 KB) when the 8 KiB buffer fills; unbuffered (-u), at once.
     one = tmp_path / "one.poset"
     one.write_text(format_poset(chain(1)))
     cycle = tmp_path / "cycle.poset"
@@ -1041,6 +1049,8 @@ def test_closed_stdout_is_one_stderr_line(corpus_files, tmp_path):
     cases = [
         (["gen", "--json", "--r-lambda", "3"], "[Errno 32] Broken pipe"),
         (["gen", "--r-lambda", "3"], "[Errno 32] Broken pipe"),
+        (["gen", "--json", "--r-lambda", "12"], "[Errno 32] Broken pipe"),
+        (["gen", "--r-lambda", "12"], "[Errno 32] Broken pipe"),
         (["check", "--json", str(one)], "[Errno 32] Broken pipe"),
         (["check", "--json", corpus_files["R22"]], "[Errno 32] Broken pipe"),
         (["verify", "--json", "--n", "3"], "[Errno 32] Broken pipe"),
@@ -1048,14 +1058,21 @@ def test_closed_stdout_is_one_stderr_line(corpus_files, tmp_path):
         # an error found before any output keeps its own message
         (["check", "--json", str(cycle)], "closure relates 'a' to itself"),
     ]
-    for argv, message in cases:
+    for flags, (argv, message) in itertools.product([[], ["-u"]], cases):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            child = run_child("-m", "tameorders", *argv, stdout=write_end)
+            child = run_child(*flags, "-m", "tameorders", *argv, stdout=write_end)
         finally:
             os.close(write_end)
-        assert (child.returncode, child.stderr) == (1, message + "\n"), argv
+        assert (child.returncode, child.stderr) == (1, message + "\n"), (flags, argv)
+    if os.path.exists("/dev/full"):
+        # every write to it fails with ENOSPC: the same one line, its own errno
+        for flags, argv in itertools.product([[], ["-u"]], [c[0] for c in cases[:4]]):
+            with open("/dev/full", "w") as full:
+                child = run_child(*flags, "-m", "tameorders", *argv, stdout=full)
+            assert (child.returncode, child.stderr) == (
+                1, "[Errno 28] No space left on device\n"), (flags, argv)
 
 
 class TestPinnedBytes:
