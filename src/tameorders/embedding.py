@@ -75,12 +75,12 @@ def _target_tables(target: Poset) -> tuple[Sequence[int], ...]:
 
     The sweeps search the same few templates thousands of times, so the
     tables are cached; equal posets share them, since they depend on the
-    masks alone.
+    masks alone.  The incomparable masks are bare complements: every domain
+    starts inside the count tables, so no bit past the targets is ever read.
     """
     n = len(target)
     up, down = target.up_masks, target.down_masks
-    full = (1 << n) - 1
-    apart = tuple(full & ~(up[t] | down[t] | 1 << t) for t in range(n))
+    apart = tuple(~(up[t] | down[t] | 1 << t) for t in range(n))
     cuts = range(-1, n)  # entry c: the indices whose mask has at least c bits
     above = _masks_above([m.bit_count() for m in up], cuts)
     below = _masks_above([m.bit_count() for m in down], cuts)

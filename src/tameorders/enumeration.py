@@ -2,12 +2,16 @@
 
 The exhaustive generator grows each poset from its ideals, listed once, and
 their complements, the filters.  It drives the oracle-grade checks: over
-every labeled poset on up to six points, tameness must coincide with
+every labeled poset on up to seven points, tameness must coincide with
 embeddability of the reduction, a well-defined reduced quotient, into the
 template of its tame rank, a reduced tame poset must embed into no template
 one narrower, and the coordinate inequalities must hold.  Each narrower
 template is a restriction of the next wider one (the points with b below
 its width), so that one refutation proves the tame rank is the minimal width.
+The sweep computes each repeated answer once per share of the stream: a
+non-tame poset's check refutes its witness ``2+2`` into one template of
+width at most 8, and an unreduced tame poset's quotient is searched once
+per distinct quotient and rank.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import tame
-from .embedding import _Budget, _embeds, embeds_r22
+from .embedding import _Budget, _embeds, embeds_r22, pattern_r22
 from .errors import InternalInvariantViolation, InvalidParameter, SizeLimitExceeded
 from .poset import Poset, at_set_bits, build_poset
 from .templates import r_lambda
 
-ENUMERATION_CAP = 6
+ENUMERATION_CAP = 7
 
 
 def all_labeled_posets(n: int) -> Iterator[Poset]:
@@ -119,7 +123,9 @@ class VerificationReport(NamedTuple):
         return not self.counterexamples
 
 
-def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
+def check_poset(
+    p: Poset, budget: int | None = None, *, verdicts: dict | None = None
+) -> tuple[bool, list[dict]]:
     """Run the per-instance verification checks; returns (is_tame, failures).
 
     Every failed claim is a failure {"check", "detail", "poset": p} in the
@@ -133,11 +139,27 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
     "embed-tame" (the quotient embeds into the template of the rank) and,
     on reduced p of rank r >= 1, "minimality" (no embedding into width
     r - 1, so r is minimal); on non-tame inputs "embed-nontame" (no
-    template), a search that places the scan's witness quadruple first,
-    since no template hosts that copy of the pattern.  Each search runs one
-    existence pass of ``embedding._embeds``, which verifies its image
-    before it counts, bounded by ``budget`` on its own.
+    template): the scan's witness (x, x2, y, y2) must be an induced ``2+2``
+    of p, that is x < y and x2 < y2 with neither x2 < y nor x < y2; by
+    transitivity these four relations leave every other pair incomparable.
+    A two-way embedding restricts to that copy, so p embeds into no
+    template once ``2+2`` embeds into none.  Four intervals have at most 8
+    endpoints, and renumbering them in order keeps every relation, so a
+    template wider than 8 holds a ``2+2`` only if the one of width 8 does;
+    the refutation searches ``pattern_r22()`` into width min(n, 8).
+
+    Each search runs one existence pass of ``embedding._embeds``, which
+    verifies its image before it counts, bounded by ``budget`` on its own.
+    ``verdicts`` holds the answers of the searches that repeat across
+    posets, a fresh dict when omitted: the ``2+2`` refutation, keyed by its
+    width, and the embed-tame search of an unreduced p's quotient, keyed by
+    the quotient's up masks and rank.  A verdict found there spends no
+    node; a search over ``budget`` raises and stores nothing.  A reduced
+    p's masks never repeat within an exhaustive stream, so its searches
+    are not kept.
     """
+    if verdicts is None:
+        verdicts = {}
     failures: list[dict] = []
 
     def fail(kind: str, detail: str) -> None:
@@ -164,14 +186,27 @@ def check_poset(p: Poset, budget: int | None = None) -> tuple[bool, list[dict]]:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
         if tame._recheck(p, rank) is None:
             fail("claim-inequalities", "coordinate inequality violated")
-        if not _embeds(quotient, r_lambda(rank), _Budget(budget)):
+        if quotient is p:
+            embedded = _embeds(p, r_lambda(rank), _Budget(budget))
+        else:
+            key = (quotient.up_masks, rank)
+            if key not in verdicts:
+                verdicts[key] = _embeds(quotient, r_lambda(rank), _Budget(budget))
+            embedded = verdicts[key]
+        if not embedded:
             fail("embed-tame", f"no brute-force embedding into width {rank}")
         if quotient is p and rank and _embeds(p, r_lambda(rank - 1), _Budget(budget)):
             fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
     else:
-        first = [p.index(x) for x in witness]
-        if _embeds(p, r_lambda(len(p)), _Budget(budget), first):
-            fail("embed-nontame", f"non-tame poset embedded into width {len(p)}")
+        x, x2, y, y2 = witness
+        width = min(len(p), 8)
+        if not p.less(x, y) or not p.less(x2, y2) or p.less(x2, y) or p.less(x, y2):
+            fail("embed-nontame", f"witness {witness!r} is no induced 2+2")
+        else:
+            if width not in verdicts:
+                verdicts[width] = _embeds(pattern_r22(), r_lambda(width), _Budget(budget))
+            if verdicts[width]:
+                fail("embed-nontame", f"2+2 embedded into width {width}")
     return tame_here, failures
 
 
@@ -210,16 +245,19 @@ def _check_share(
     stream position at which the serial loop would have raised it.
     ``failed_at`` holds each worker's failing position (the largest value
     while it has none): a share records its own there and stops before any
-    position past another's, which the serial loop would not reach.
+    position past another's, which the serial loop would not reach.  The
+    share's checks keep one dict of search verdicts, so each repeated
+    search of ``check_poset`` runs once per share.
     """
     checked = tame_count = position = 0
     counterexamples: list[dict] = []
+    verdicts: dict = {}
     try:
         for p in posets:
             if position % workers == worker:
                 if position > min(failed_at):
                     break
-                tame_here, failures = check_poset(p, budget=budget)
+                tame_here, failures = check_poset(p, budget=budget, verdicts=verdicts)
                 checked += 1
                 tame_count += tame_here
                 counterexamples += ({"index": position, **f} for f in failures)
@@ -334,7 +372,7 @@ def verify_proposition(n: int, *, budget: int | None = None) -> VerificationRepo
     runs.  Expected outcome on every n: zero counterexamples.  A negative
     ``budget`` is refused first; it bounds each search on its own.
 
-    A stream of at least 1000 posets (n = 5 and 6) is shared by W processes,
+    A stream of at least 1000 posets (n = 5 to 7) is shared by W processes,
     W the usable CPUs up to 8: the caller forks W - 1 children and each
     process checks every W-th position.  No fork happens when W is 1, when
     ``os.fork`` is missing or when a second thread runs.  The report, and

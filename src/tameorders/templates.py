@@ -48,7 +48,7 @@ def r_lambda(lam: int) -> Poset:
     (a, b) < (a2, b2) iff b < a2 is already transitively closed.  There is
     no width limit.  ``canonical_embedding`` builds one of width r = tame
     rank <= number of elements, and ``check_poset``'s searches build those
-    of widths r and r - 1, and of width n on non-tame input.
+    of widths r and r - 1, and of width min(n, 8) on non-tame input.
     """
     if lam < 0:
         raise InvalidParameter("template width must be nonnegative")

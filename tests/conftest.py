@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,42 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+TIME_LIMIT_S = 120  # per test; the slowest, under -m slow, takes about 10 s
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TIME_LIMIT_S.
+
+    Not an Exception, so neither the library's ``except Exception`` nor
+    hypothesis, which catches a failing example's exception and runs more
+    examples to shrink it, can take it for an ordinary failure and go on;
+    pytest records it as the test's failure and runs the next test.
+    """
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail any test still running TIME_LIMIT_S seconds after it started.
+
+    A regression that keeps a loop from ending then fails its test instead
+    of stalling the run.  Built on ``signal.alarm``, so POSIX only: where
+    SIGALRM is missing no limit applies.  A forked child inherits no alarm.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past its {TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def chain(n: int) -> Poset:

@@ -342,11 +342,11 @@ class TestVerify:
         assert sorted(first) == ["check", "detail", "elements", "index", "relations"]
 
     def test_too_large_without_opt_in(self, capsys):
-        # n = 6 runs with no flag (about 40 s); n = 7 is past the one cap
-        code, out, err = run(capsys, "verify", "--n", "7")
+        # n = 7 runs with no flag (minutes); n = 8 is past the one cap
+        code, out, err = run(capsys, "verify", "--n", "8")
         assert code == 1 and out == ""
-        assert "capped at 6" in err
-        code, out, _ = run(capsys, "verify", "--n", "7", "--json")
+        assert "capped at 7" in err
+        code, out, _ = run(capsys, "verify", "--n", "8", "--json")
         assert code == 1
         assert json.loads(out)["error"] == "size-limit-exceeded"
 

@@ -35,7 +35,8 @@ from tameorders import (
 )
 
 from tameorders.cli import main
-from tameorders.embedding import _target_tables
+from tameorders.embedding import _target_tables, pattern_r22
+from tameorders.enumeration import check_poset
 
 from conftest import antichain, assert_order, chain, oracle_posets_by_filter
 
@@ -95,7 +96,7 @@ class TestAllLabeledPosets:
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
-            list(all_labeled_posets(7))
+            list(all_labeled_posets(8))
 
     @pytest.mark.parametrize(
         "n, digest",
@@ -177,8 +178,9 @@ class TestVerifyProposition:
         assert report.ok
 
     def test_search_node_count(self, monkeypatch):
-        # pinned: a change to the search order or the starting domains moves
-        # this count, and must update it on purpose
+        # pinned: a change to the search order, the starting domains or the
+        # searches the sweep runs moves this count, and must update it on
+        # purpose
         real, spent = embedding._Budget.spend, []
 
         def counted(self):
@@ -187,7 +189,7 @@ class TestVerifyProposition:
 
         monkeypatch.setattr(embedding._Budget, "spend", counted)
         assert verify_proposition(4).ok
-        assert len(spent) == 1037
+        assert len(spent) == 569
 
     def test_target_tables_built_once_per_template(self):
         # every search into one template reuses its tables: at most one miss
@@ -198,8 +200,10 @@ class TestVerifyProposition:
         assert 0 < info.misses <= 5 and info.hits > 100
 
     def test_one_minimality_refutation_per_reduced_tame_poset(self, monkeypatch):
-        # one existence check per poset (embed-tame or embed-nontame), plus
-        # one refutation on each of the 120 reduced tame ones
+        # embed-tame on each of the 120 reduced tame posets and on each of
+        # the 15 distinct (quotient, rank) pairs of the 87 unreduced ones,
+        # one refutation on each reduced one, and one 2+2 refutation for
+        # all 12 non-tame posets
         real = enumeration._embeds
         calls = []
 
@@ -209,7 +213,21 @@ class TestVerifyProposition:
 
         monkeypatch.setattr(enumeration, "_embeds", counted)
         assert verify_proposition(4).ok
-        assert len(calls) == 219 + 120
+        assert len(calls) == 120 + 15 + 120 + 1
+
+    def test_one_2_plus_2_refutation_per_sweep(self, monkeypatch):
+        # every non-tame poset's check reuses the one search of 2+2 into
+        # the template of width 4 (10 points); the sweep of 219 is serial
+        real, targets = enumeration._embeds, []
+
+        def counted(pattern, target, budget, *rest):
+            if pattern == pattern_r22():
+                targets.append(len(target))
+            return real(pattern, target, budget, *rest)
+
+        monkeypatch.setattr(enumeration, "_embeds", counted)
+        assert verify_proposition(4).ok
+        assert targets == [10]
 
     def test_one_pattern_scan_per_poset(self, monkeypatch):
         # the verdict's scan only: every later check reuses it and scans
@@ -255,8 +273,8 @@ class TestVerifyProposition:
         assert {c["check"] for c in report.counterexamples} == {"minimality"}
 
     def test_size_cap_default(self, monkeypatch):
-        # the generator's cap is the only one: n = 6 reaches the sweep as
-        # is, n = 7 and n = -1 fail before any poset is checked
+        # the generator's cap is the only one: n = 7 reaches the sweep as
+        # is, n = 8 and n = -1 fail before any poset is checked
         firsts = []
 
         def first_only(n, posets, budget):
@@ -264,11 +282,11 @@ class TestVerifyProposition:
             return enumeration.VerificationReport(n, 0, 0)
 
         monkeypatch.setattr(enumeration, "_sweep", first_only)
-        verify_proposition(6)
-        assert len(firsts) == 1 and len(firsts[0]) == 6
+        verify_proposition(7)
+        assert len(firsts) == 1 and len(firsts[0]) == 7
         monkeypatch.undo()
-        with pytest.raises(SizeLimitExceeded, match="capped at 6"):
-            verify_proposition(7)
+        with pytest.raises(SizeLimitExceeded, match="capped at 7"):
+            verify_proposition(8)
         with pytest.raises(InvalidParameter):
             verify_proposition(-1)
 
@@ -318,6 +336,21 @@ class TestEverySweepCheckFires:
     def test_any_embedding_fails_embed_nontame_and_minimality(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_embeds", lambda *a, **k: True)
         assert fired(verify_proposition(4)) == {"embed-nontame": 12, "minimality": 120}
+
+    @pytest.mark.parametrize("order", [(2, 3, 0, 1), (0, 3, 2, 1)])
+    def test_non_induced_witness_fails_embed_nontame(self, monkeypatch, order):
+        # the scan's quadruple reordered: (y, y2, x, x2) has no x < y, and
+        # (x, y2, y, x2) has no x2 < y2, so it is no induced 2+2 of p
+        real = enumeration.embeds_r22
+
+        def scan(p):
+            witness = real(p)
+            return witness and tuple(witness[i] for i in order)
+
+        monkeypatch.setattr(enumeration, "embeds_r22", scan)
+        report = verify_proposition(4)
+        assert fired(report) == {"embed-nontame": 12}
+        assert all("is no induced 2+2" in c["detail"] for c in report.counterexamples)
 
     def test_comparable_down_sets_fail_comparability(self, monkeypatch):
         monkeypatch.setattr(tame, "d_comparable", lambda p: True)
@@ -383,11 +416,16 @@ class TestVerifySampled:
         assert report.total == 25 and report.ok
 
     def test_nontame_refutations_fit_a_small_budget(self):
-        # each embed-nontame search starts at the scan's witness, so no
-        # search of these 9-point samples needs more than 1000 nodes
-        report = verify_sampled(9, 10, seed=1, budget=1000)
-        assert (report.total, report.tame_count) == (10, 5)
-        assert report.ok
+        # the non-tame samples share one refutation of 2+2 into width
+        # min(n, 8): 526 nodes at n = 12, where width 12 would take 2916;
+        # no other search of these samples needs more than 1000 nodes
+        for n, tame_count in [(9, 5), (12, 4)]:
+            report = verify_sampled(n, 10, seed=1, budget=1000)
+            assert (report.total, report.tame_count) == (10, tame_count)
+            assert report.ok
+
+    def test_zero_points(self):
+        assert verify_sampled(0, 3, seed=1) == enumeration.VerificationReport(0, 3, 3)
 
     def test_deterministic(self):
         assert verify_sampled(5, 10, seed=3) == verify_sampled(5, 10, seed=3)
@@ -397,6 +435,40 @@ class TestVerifySampled:
             verify_sampled(-1, 5, seed=0)
         with pytest.raises(InvalidParameter):
             verify_sampled(3, -5, seed=0)
+
+
+class TestSearchVerdicts:
+    """``check_poset``'s ``verdicts``: each repeated search runs once per dict."""
+
+    NONTAME = build_poset([str(i) for i in range(12)], [("0", "1"), ("2", "3")])
+
+    def test_nontame_verdict_is_kept_by_width(self):
+        verdicts = {}
+        assert check_poset(self.NONTAME, budget=526, verdicts=verdicts) == (False, [])
+        assert verdicts == {8: False}
+        assert check_poset(self.NONTAME, budget=0, verdicts=verdicts) == (False, [])
+
+    def test_search_over_budget_stores_nothing(self):
+        verdicts = {}
+        with pytest.raises(BudgetExceeded):
+            check_poset(self.NONTAME, budget=525, verdicts=verdicts)
+        assert verdicts == {}
+
+    def test_alone_each_check_searches_afresh(self):
+        check_poset(self.NONTAME)
+        with pytest.raises(BudgetExceeded):
+            check_poset(self.NONTAME, budget=525)
+
+    def test_unreduced_quotients_are_kept_with_their_rank(self):
+        # two labelings of one unreduced order share their quotient's search
+        twins = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+        relabeled = build_poset(["a", "b", "c"], [("a", "b"), ("c", "b")])
+        verdicts = {}
+        assert check_poset(twins, verdicts=verdicts) == (True, [])
+        assert check_poset(relabeled, budget=0, verdicts=verdicts) == (True, [])
+        assert list(verdicts.values()) == [True]
+        ((masks, rank),) = verdicts
+        assert rank == 2 and len(masks) == 2
 
 
 def test_negative_budget_is_refused_before_any_poset():
@@ -449,10 +521,10 @@ def fail_at(monkeypatch, faults, n=5):
     at = {p.up_masks: faults[i] for i, p in enumerate(stream) if i in faults}
     real = enumeration.check_poset
 
-    def check(p, budget=None):
+    def check(p, budget=None, verdicts=None):
         if p.up_masks in at:
             raise at[p.up_masks]
-        return real(p, budget=budget)
+        return real(p, budget=budget, verdicts=verdicts)
 
     monkeypatch.setattr(enumeration, "check_poset", check)
 
@@ -527,10 +599,10 @@ class TestForkedSweep:
         caller = os.getpid()
         real = enumeration.check_poset
 
-        def check(p, budget=None):
+        def check(p, budget=None, verdicts=None):
             if os.getpid() == caller and forks:
                 raise KeyboardInterrupt
-            return real(p, budget=budget)
+            return real(p, budget=budget, verdicts=verdicts)
 
         monkeypatch.setattr(enumeration, "check_poset", check)
         with pytest.raises(KeyboardInterrupt):
@@ -541,10 +613,10 @@ class TestForkedSweep:
         caller = os.getpid()
         real = enumeration.check_poset
 
-        def check(p, budget=None):
+        def check(p, budget=None, verdicts=None):
             if os.getpid() != caller:
                 os._exit(0)
-            return real(p, budget=budget)
+            return real(p, budget=budget, verdicts=verdicts)
 
         monkeypatch.setattr(enumeration, "check_poset", check)
         with pytest.raises(InternalInvariantViolation, match="without its report"):

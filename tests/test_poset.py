@@ -263,6 +263,13 @@ class TestIsomorphism:
                     if iso[i][j] and iso[j][k]:
                         assert iso[i][k]
 
+    def test_equality_reads_the_relations(self):
+        # same elements in the same order: equal only with the same relation
+        p = build_poset(["a", "b", "c"], [("a", "b")])
+        assert p == build_poset(["a", "b", "c"], [("a", "b")])
+        assert p != build_poset(["a", "b", "c"], [("a", "c")])
+        assert p != build_poset(["a", "b", "c"], [])
+
     def test_same_invariants_different_structure(self):
         # 2+2 vs 3+1 as unions of chains: equal sizes, different relations
         p = build_poset(list("abcd"), [("a", "b"), ("c", "d")])

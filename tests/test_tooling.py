@@ -10,14 +10,18 @@ the only exported names no module reads are the search and check API,
 no function takes a ``bool`` parameter with a default, no module of the
 pipeline writes JSON, every module parses at the declared Python floor,
 and importing the CLI loads none of ``dataclasses``, ``inspect``,
-``argparse`` and ``gettext``.
+``argparse`` and ``gettext``.  Every test runs under a time limit, and
+one that overruns it fails alone.
 """
 
 import argparse
 import ast
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -37,7 +41,7 @@ from tameorders import (
     reduce,
 )
 
-from conftest import assert_order, oracle_inflate, oracle_point
+from conftest import TIME_LIMIT_S, assert_order, oracle_inflate, oracle_point
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -121,6 +125,60 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+RUNS_ON = """
+import time
+
+from hypothesis import given, settings, strategies as st
+
+import conftest
+
+conftest.TIME_LIMIT_S = 1
+
+
+def test_runs_on():
+    time.sleep(60)
+
+
+@settings(database=None)
+@given(st.integers())
+def test_runs_on_under_hypothesis(x):
+    time.sleep(60)
+
+
+def test_after():
+    assert True
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_a_test_past_its_time_limit_fails_and_the_run_goes_on(tmp_path):
+    # the suite's own conftest, with the limit lowered to 1 s by the module;
+    # hypothesis must not take the overrun for a failing example to shrink
+    (tmp_path / "conftest.py").write_text((ROOT / "tests" / "conftest.py").read_text())
+    (tmp_path / "test_sample.py").write_text(RUNS_ON)
+    started = time.monotonic()
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+            "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_sample.py",
+        ],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "2 failed, 1 passed" in run.stdout
+    assert run.stdout.count("TimeLimitExceeded: test ran past its 1 s limit") == 2
+    assert time.monotonic() - started < 50
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_every_test_runs_under_the_time_limit():
+    remaining, interval = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= TIME_LIMIT_S and interval == 0
 
 
 def test_public_surface_is_the_listed_names():
