@@ -196,23 +196,26 @@ def _preserves_order(source: Poset, target: Poset, image: Sequence[int]) -> bool
 
 
 def _embeds(
-    pattern: Poset, target: Poset, budget: _Budget, first: Sequence[int] = ()
+    pattern: Poset, target: Poset, budget: _Budget, ties: Sequence | None = None
 ) -> bool:
     """Whether ``pattern`` embeds two-way into ``target``: one search pass.
 
     The existence question of ``find_embedding`` without its witness pass.
     The search assigns the most related elements first, which fails fast on
-    impossible instances; distinct indices in ``first`` lead that order.
-    The search stays complete, so no order moves the verdict, only how soon
-    absence is proven.  Its nodes are spent from ``budget``.
+    impossible instances, and among equally related ones the least
+    ``ties[i]``, by default the index i.  ``check_poset`` passes each
+    element's distinct (m, M) pair, so that the order, and the nodes spent,
+    depend on the isomorphism class alone.  The search stays complete, so
+    no order moves the verdict, only how soon absence is proven.  Its
+    nodes are spent from ``budget``.
     """
     k = len(pattern)
     degree = [
         pattern.down_masks[i].bit_count() + pattern.up_masks[i].bit_count()
         for i in range(k)
     ]
-    order = sorted(range(k), key=lambda i: (-degree[i], i))
-    order = [*first, *(i for i in order if i not in first)]
+    tie = range(k) if ties is None else ties
+    order = sorted(range(k), key=lambda i: (-degree[i], tie[i]))
     return _search(pattern, target, order, budget) is not None
 
 

@@ -10,8 +10,8 @@ template is a restriction of the next wider one (the points with b below
 its width), so that one refutation proves the tame rank is the minimal width.
 The sweep computes each repeated answer once per share of the stream: a
 non-tame poset's check refutes its witness ``2+2`` into one template of
-width at most 8, and an unreduced tame poset's quotient is searched once
-per distinct quotient and rank.
+width at most 8, and a tame poset's searches run once per isomorphism
+class and width, the class read off its rechecked (m, M) coordinates.
 """
 
 from __future__ import annotations
@@ -152,11 +152,16 @@ def check_poset(
     verifies its image before it counts, bounded by ``budget`` on its own.
     ``verdicts`` holds the answers of the searches that repeat across
     posets, a fresh dict when omitted: the ``2+2`` refutation, keyed by its
-    width, and the embed-tame search of an unreduced p's quotient, keyed by
-    the quotient's up masks and rank.  A verdict found there spends no
-    node; a search over ``budget`` raises and stores nothing.  A reduced
-    p's masks never repeat within an exhaustive stream, so its searches
-    are not kept.
+    width, and the embed-tame and minimality searches of the quotient,
+    keyed by the set of p's distinct (m, M) pairs and the template width.
+    That key is used only when the recheck and the quotient check passed:
+    p is then the order M(x) < m(y) and its classes, the quotient's
+    points, are its distinct pairs, so equal keys mean isomorphic
+    quotients, whose verdicts agree.  Such a search takes equally related
+    points by their pair, so its nodes depend on the key alone, whichever
+    labeling comes first.  After a failed check the quotient is searched
+    as it stands and nothing is kept.  A verdict found in ``verdicts``
+    spends no node; a search over ``budget`` raises and stores nothing.
     """
     if verdicts is None:
         verdicts = {}
@@ -178,24 +183,35 @@ def check_poset(
             members[class_of[x]] |= 1 << i
         lifted = [sum(at_set_bits(members, up)) for up in quotient.up_masks]
         exact = p.up_masks == tuple(lifted[class_of[x]] for x in p.elements)
-        if not exact or not tame.is_reduced(quotient):
+        reduced = tame.is_reduced(quotient)
+        if not exact or not reduced:
             fail("quotient", "relation ill-defined" if not exact else "not reduced")
         rank = tame._rank(p)
         quotient_rank = rank if quotient is p else tame._rank(quotient)
         if quotient_rank != rank:
             fail("rank-invariance", f"quotient rank {quotient_rank} != {rank}")
-        if tame._recheck(p, rank) is None:
+        coordinates = tame._recheck(p, rank)
+        if coordinates is None:
             fail("claim-inequalities", "coordinate inequality violated")
-        if quotient is p:
-            embedded = _embeds(p, r_lambda(rank), _Budget(budget))
-        else:
-            key = (quotient.up_masks, rank)
-            if key not in verdicts:
-                verdicts[key] = _embeds(quotient, r_lambda(rank), _Budget(budget))
-            embedded = verdicts[key]
-        if not embedded:
+        key = None
+        if coordinates is not None and exact and reduced:
+            pairs = list(zip(*coordinates))
+            key = frozenset(pairs)
+
+        def search(width: int) -> bool:
+            if key is None:
+                return _embeds(quotient, r_lambda(width), _Budget(budget))
+            if (key, width) not in verdicts:
+                # each class's pair, read at its least member
+                ties = [pairs[(m & -m).bit_length() - 1] for m in members]
+                verdicts[key, width] = _embeds(
+                    quotient, r_lambda(width), _Budget(budget), ties
+                )
+            return verdicts[key, width]
+
+        if not search(rank):
             fail("embed-tame", f"no brute-force embedding into width {rank}")
-        if quotient is p and rank and _embeds(p, r_lambda(rank - 1), _Budget(budget)):
+        if quotient is p and rank and search(rank - 1):
             fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
     else:
         x, x2, y, y2 = witness

@@ -23,7 +23,7 @@ from tameorders import (
     verify_embedding,
 )
 
-from tameorders import embedding, enumeration
+from tameorders import embedding, enumeration, tame
 from tameorders.cli import main
 from tameorders.embedding import _Budget, _embeds, _preserves_order, _target_tables
 from tameorders.poset import at_set_bits
@@ -170,23 +170,19 @@ class TestExistenceCheck:
     """``_embeds``: the decide pass alone, its image verified before True."""
 
     def test_agrees_with_find_embedding(self):
-        # into the templates of the rank, one narrower, and of width n, from
-        # any leading order: the first elements, and for a non-tame poset its
-        # witness (as the sweep places it) and the witness reversed; the
-        # search stays complete, so no leading order moves the answer
+        # into the templates of the rank, one narrower, and of width n, with
+        # equally related elements taken by index, by reversed index and by
+        # their (m, M) pairs, as the sweep takes them; the search stays
+        # complete, so no order moves the answer
         for n in range(5):
             for p in all_labeled_posets(n):
                 rank = len(set(p.up_masks))
-                hints = [(), range(min(4, n))]
-                witness = embeds_r22(p)
-                if witness is not None:
-                    first = [p.index(x) for x in witness]
-                    hints += [first, first[::-1]]
+                orders = [None, range(n, 0, -1), list(zip(*tame._coordinates(p)))]
                 for lam in {rank, max(rank - 1, 0), n}:
                     t = r_lambda(lam)
                     expected = find_embedding(p, t) is not None
-                    for hint in hints:
-                        assert _embeds(p, t, _Budget(None), hint) == expected, (p.pairs(), lam)
+                    for ties in orders:
+                        assert _embeds(p, t, _Budget(None), ties) == expected, (p.pairs(), lam)
 
     @staticmethod
     def any_relation_tables(target):

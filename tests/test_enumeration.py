@@ -38,7 +38,13 @@ from tameorders.cli import main
 from tameorders.embedding import _target_tables, pattern_r22
 from tameorders.enumeration import check_poset
 
-from conftest import antichain, assert_order, chain, oracle_posets_by_filter
+from conftest import (
+    antichain,
+    assert_order,
+    chain,
+    oracle_posets_by_filter,
+    oracle_zero_one_fishburn,
+)
 
 
 class TestAllLabeledPosets:
@@ -189,21 +195,23 @@ class TestVerifyProposition:
 
         monkeypatch.setattr(embedding._Budget, "spend", counted)
         assert verify_proposition(4).ok
-        assert len(spent) == 569
+        assert len(spent) == 53
 
     def test_target_tables_built_once_per_template(self):
-        # every search into one template reuses its tables: at most one miss
-        # per distinct template width 0..4
+        # the sweep's 15 searches: the minimality refutations of the four
+        # reduced 4-point classes of rank 3 return before the tables, since
+        # width 2 has 3 points, and the other 11 look up widths 1 to 4,
+        # each built once
         _target_tables.cache_clear()
         verify_proposition(4)
         info = _target_tables.cache_info()
-        assert 0 < info.misses <= 5 and info.hits > 100
+        assert (info.misses, info.hits) == (4, 7)
 
-    def test_one_minimality_refutation_per_reduced_tame_poset(self, monkeypatch):
-        # embed-tame on each of the 120 reduced tame posets and on each of
-        # the 15 distinct (quotient, rank) pairs of the 87 unreduced ones,
-        # one refutation on each reduced one, and one 2+2 refutation for
-        # all 12 non-tame posets
+    def test_one_minimality_refutation_per_isomorphism_class(self, monkeypatch):
+        # embed-tame on each reduced class of 1 to 4 points (1 + 1 + 2 + 5),
+        # every one the quotient of some 4-point poset, one refutation on
+        # each reduced 4-point class, and one 2+2 refutation for all 12
+        # non-tame posets
         real = enumeration._embeds
         calls = []
 
@@ -213,7 +221,7 @@ class TestVerifyProposition:
 
         monkeypatch.setattr(enumeration, "_embeds", counted)
         assert verify_proposition(4).ok
-        assert len(calls) == 120 + 15 + 120 + 1
+        assert len(calls) == 9 + 5 + 1
 
     def test_one_2_plus_2_refutation_per_sweep(self, monkeypatch):
         # every non-tame poset's check reuses the one search of 2+2 into
@@ -460,15 +468,81 @@ class TestSearchVerdicts:
             check_poset(self.NONTAME, budget=525)
 
     def test_unreduced_quotients_are_kept_with_their_rank(self):
-        # two labelings of one unreduced order share their quotient's search
+        # two labelings of one unreduced order, and the chain they reduce
+        # to, share one embed-tame search, keyed by the distinct (m, M)
+        # pairs and the width; the chain adds its minimality refutation
         twins = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
         relabeled = build_poset(["a", "b", "c"], [("a", "b"), ("c", "b")])
         verdicts = {}
         assert check_poset(twins, verdicts=verdicts) == (True, [])
         assert check_poset(relabeled, budget=0, verdicts=verdicts) == (True, [])
-        assert list(verdicts.values()) == [True]
-        ((masks, rank),) = verdicts
-        assert rank == 2 and len(masks) == 2
+        pairs = frozenset({(0, 0), (1, 1)})
+        assert verdicts == {(pairs, 2): True}
+        assert check_poset(chain(2), budget=0, verdicts=verdicts) == (True, [])
+        assert verdicts == {(pairs, 2): True, (pairs, 1): False}
+
+    @pytest.mark.parametrize(
+        "n", [4, 5, pytest.param(6, marks=pytest.mark.slow)]
+    )
+    def test_one_verdict_per_isomorphism_class(self, monkeypatch, n):
+        # a serial sweep keeps one embed-tame verdict per reduced class of 1
+        # to n points (A138265; each is the quotient of an n-point poset),
+        # one minimality verdict per reduced n-point class and the one 2+2
+        # refutation: 15, 42 and 148 entries
+        real, kept = enumeration.check_poset, {}
+
+        def check(p, budget=None, verdicts=None):
+            kept[id(verdicts)] = verdicts
+            return real(p, budget=budget, verdicts=verdicts)
+
+        monkeypatch.setattr(enumeration, "check_poset", check)
+        assert serially(monkeypatch, lambda: verify_proposition(n)).ok
+        (verdicts,) = kept.values()
+        classes = [oracle_zero_one_fishburn(k) for k in range(1, n + 1)]
+        assert len(verdicts) == sum(classes) + classes[-1] + 1
+
+    def test_every_labeling_spends_the_same_nodes(self, monkeypatch):
+        # the searches take equally related points by their (m, M) pairs, so
+        # each of the 120 labelings of the intervals [0,0] [0,1] [1,2] [2,3]
+        # [3,3] spends 13 nodes; taken by index, they spent 11 to 19
+        pairs = [("a", "c"), ("a", "d"), ("a", "e"), ("b", "d"), ("b", "e"), ("c", "e")]
+        real, spent = embedding._Budget.spend, []
+
+        def counted(self):
+            spent.append(1)
+            return real(self)
+
+        monkeypatch.setattr(embedding._Budget, "spend", counted)
+        nodes = set()
+        for labels in itertools.permutations("abcde"):
+            spent.clear()
+            assert check_poset(build_poset(labels, pairs)) == (True, [])
+            nodes.add(len(spent))
+        assert nodes == {13}
+
+    @pytest.mark.parametrize("broken", ["restrict", "reduce", "coordinates"])
+    def test_failed_checks_store_nothing(self, monkeypatch, request, broken):
+        # only a rechecked order whose quotient passes its check is proven
+        # isomorphic to the order on its distinct (m, M) pairs; a quotient
+        # that lifts inexactly, one left unreduced, or coordinates that fail
+        # their recheck leave the searches to run directly and keep nothing
+        p = build_poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c")])
+        if broken == "restrict":  # a reduced quotient, but the chain a < c < d
+            monkeypatch.setattr(
+                tame, "restrict", lambda q, keep: build_poset(keep, list(zip(keep, keep[1:])))
+            )
+            fired = {"quotient", "rank-invariance", "embed-tame"}
+        elif broken == "reduce":
+            identity = tame.ReductionResult(p, {x: i for i, x in enumerate(p.elements)})
+            monkeypatch.setattr(tame, "reduce", lambda q: identity)
+            fired = {"quotient", "embed-tame"}
+        else:
+            request.getfixturevalue("corrupt_coordinates")
+            fired = {"claim-inequalities"}
+        verdicts = {}
+        _, failures = check_poset(p, verdicts=verdicts)
+        assert {f["check"] for f in failures} == fired
+        assert verdicts == {}
 
 
 def test_negative_budget_is_refused_before_any_poset():
@@ -585,15 +659,29 @@ class TestForkedSweep:
         assert isinstance(caller[4], BudgetExceeded)
         assert all(child[3:] == (None, None) and child[0] < 10000 for child in children)
 
-    @pytest.mark.parametrize("budget", ["2", "4"])
+    @pytest.mark.parametrize("budget", ["2", "4", "13"])
     def test_cli_budget_document_is_the_serial_one(self, forks, monkeypatch, capsys, budget):
-        # budget 2 first fails at position 1 (a child's), budget 4 at 33 (the caller's)
+        # budget 2 first fails at position 1 (a child's), budget 4 at 33 (the
+        # caller's); 13, what every labeling of one reduced class spends
+        # (test_every_labeling_spends_the_same_nodes), also fails at 33,
+        # whose 2+2 refutation into width 5 takes 67
         argv = ["verify", "--json", "--n", "5", "--budget", budget]
         assert main(argv) == 2
         forked = capsys.readouterr()
         assert serially(monkeypatch, lambda: main(argv)) == 2
         assert forked == capsys.readouterr()
         assert '"budget-exceeded"' in forked.out and len(forks) == 2
+
+    @pytest.mark.slow
+    def test_six_point_document_is_the_serial_one(self, forks, monkeypatch, capsys):
+        # each share keeps its own verdicts, so the shares search different
+        # labelings of a class first; the bytes are the serial sweep's
+        argv = ["verify", "--json", "--n", "6"]
+        assert main(argv) == 0
+        forked = capsys.readouterr()
+        assert serially(monkeypatch, lambda: main(argv)) == 0
+        assert forked == capsys.readouterr()
+        assert len(forks) == 2
 
     def test_interrupt_in_the_caller_reaps_the_children(self, forks, monkeypatch):
         caller = os.getpid()
