@@ -5,9 +5,9 @@ budget exceeded, 3 property-negative verdicts (not tame, not reduced,
 counterexamples found), 4 internal invariant violations.  With --json the
 standard output is a single JSON document on one line, on every exit except
 an argparse usage error, -h/--help or a standard output that cannot be
-written (a broken pipe, a full disk: a failed write exits 1, an error found
-before any output keeps its code, and stderr gets one line); diagnostics go
-to stderr.
+written (a broken pipe, a full disk, a label its encoding cannot write: a
+failed write exits 1, an error found before any output keeps its code, and
+stderr gets one line); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -416,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(args, exc, EXIT_NEGATIVE, {"error": "not-reduced"})
     except BudgetExceeded as exc:
         return _fail(args, exc, EXIT_BUDGET)
+    except UnicodeEncodeError as exc:
+        # a label that stdout's encoding cannot write: an output error
+        return _fail(args, exc, EXIT_INPUT)
     except (InternalInvariantViolation, ValueError) as exc:
         # inputs reach the library typed, so a bare ValueError is a library bug
         return _fail(args, exc, EXIT_INTERNAL)

@@ -73,9 +73,10 @@ class _Budget:
 def _target_tables(target: Poset) -> tuple[Sequence[int], ...]:
     """The target side of ``_search``, built once per distinct target.
 
-    The sweeps search the same few templates thousands of times, so the
-    tables are cached; equal posets share them, since they depend on the
-    masks alone.  The incomparable masks are bare complements: every domain
+    ``find_embedding`` reads them in both of its passes, and a serial
+    ``verify_proposition(5)`` looks up 5 templates 38 times, so the tables
+    are cached; equal posets share them, since they depend on the masks
+    alone.  The incomparable masks are bare complements: every domain
     starts inside the count tables, so no bit past the targets is ever read.
     """
     n = len(target)
@@ -195,27 +196,22 @@ def _preserves_order(source: Poset, target: Poset, image: Sequence[int]) -> bool
     return True
 
 
-def _embeds(
-    pattern: Poset, target: Poset, budget: _Budget, ties: Sequence | None = None
-) -> bool:
+def _embeds(pattern: Poset, target: Poset, budget: _Budget) -> bool:
     """Whether ``pattern`` embeds two-way into ``target``: one search pass.
 
     The existence question of ``find_embedding`` without its witness pass.
     The search assigns the most related elements first, which fails fast on
-    impossible instances, and among equally related ones the least
-    ``ties[i]``, by default the index i.  ``check_poset`` passes each
-    element's distinct (m, M) pair, so that the order, and the nodes spent,
-    depend on the isomorphism class alone.  The search stays complete, so
-    no order moves the verdict, only how soon absence is proven.  Its
-    nodes are spent from ``budget``.
+    impossible instances, and among equally related ones the smallest
+    down-set, then the least index.  In a reduced tame order the
+    down-set size orders elements as their m does, so equally related ones
+    are taken by their (m, M) pairs and the nodes spent depend on the
+    isomorphism class alone, never on the labeling.  The search stays
+    complete, so no order moves the verdict, only how soon absence is
+    proven.  Its nodes are spent from ``budget``.
     """
-    k = len(pattern)
-    degree = [
-        pattern.down_masks[i].bit_count() + pattern.up_masks[i].bit_count()
-        for i in range(k)
-    ]
-    tie = range(k) if ties is None else ties
-    order = sorted(range(k), key=lambda i: (-degree[i], tie[i]))
+    down = [m.bit_count() for m in pattern.down_masks]
+    related = [d + m.bit_count() for d, m in zip(down, pattern.up_masks)]
+    order = sorted(range(len(pattern)), key=lambda i: (-related[i], down[i]))
     return _search(pattern, target, order, budget) is not None
 
 

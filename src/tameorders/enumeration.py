@@ -30,6 +30,8 @@ from .templates import r_lambda
 
 ENUMERATION_CAP = 7
 
+_R22 = pattern_r22()  # the non-tame refutation's pattern, built once
+
 
 def all_labeled_posets(n: int) -> Iterator[Poset]:
     """Every labeled strict partial order on elements "0".."n-1", once each.
@@ -151,17 +153,18 @@ def check_poset(
     Each search runs one existence pass of ``embedding._embeds``, which
     verifies its image before it counts, bounded by ``budget`` on its own.
     ``verdicts`` holds the answers of the searches that repeat across
-    posets, a fresh dict when omitted: the ``2+2`` refutation, keyed by its
-    width, and the embed-tame and minimality searches of the quotient,
-    keyed by the set of p's distinct (m, M) pairs and the template width.
-    That key is used only when the recheck and the quotient check passed:
-    p is then the order M(x) < m(y) and its classes, the quotient's
-    points, are its distinct pairs, so equal keys mean isomorphic
-    quotients, whose verdicts agree.  Such a search takes equally related
-    points by their pair, so its nodes depend on the key alone, whichever
-    labeling comes first.  After a failed check the quotient is searched
-    as it stands and nothing is kept.  A verdict found in ``verdicts``
-    spends no node; a search over ``budget`` raises and stores nothing.
+    posets, a fresh dict when omitted, each under its key and template
+    width: the ``2+2`` refutation under the key "2+2", and the embed-tame
+    and minimality searches of the quotient under the set of p's distinct
+    (m, M) pairs.  That key is used only when the recheck and the quotient
+    check passed: p is then the order M(x) < m(y) and its classes, the
+    quotient's points, are its distinct pairs, so equal keys mean
+    isomorphic quotients, whose verdicts agree, and whose searches spend
+    the same nodes (``_embeds`` orders a reduced tame pattern by its class
+    alone), whichever labeling comes first.  After a failed check the
+    quotient is searched as it stands and nothing is kept.  A verdict
+    found in ``verdicts`` spends no node; a search over ``budget`` raises
+    and stores nothing.
     """
     if verdicts is None:
         verdicts = {}
@@ -169,6 +172,13 @@ def check_poset(
 
     def fail(kind: str, detail: str) -> None:
         failures.append({"check": kind, "detail": detail, "poset": p})
+
+    def search(pattern: Poset, width: int, key) -> bool:
+        if key is None:
+            return _embeds(pattern, r_lambda(width), _Budget(budget))
+        if (key, width) not in verdicts:
+            verdicts[key, width] = _embeds(pattern, r_lambda(width), _Budget(budget))
+        return verdicts[key, width]
 
     witness = embeds_r22(p)
     tame_here = witness is None
@@ -195,34 +205,18 @@ def check_poset(
             fail("claim-inequalities", "coordinate inequality violated")
         key = None
         if coordinates is not None and exact and reduced:
-            pairs = list(zip(*coordinates))
-            key = frozenset(pairs)
-
-        def search(width: int) -> bool:
-            if key is None:
-                return _embeds(quotient, r_lambda(width), _Budget(budget))
-            if (key, width) not in verdicts:
-                # each class's pair, read at its least member
-                ties = [pairs[(m & -m).bit_length() - 1] for m in members]
-                verdicts[key, width] = _embeds(
-                    quotient, r_lambda(width), _Budget(budget), ties
-                )
-            return verdicts[key, width]
-
-        if not search(rank):
+            key = frozenset(zip(*coordinates))
+        if not search(quotient, rank, key):
             fail("embed-tame", f"no brute-force embedding into width {rank}")
-        if quotient is p and rank and search(rank - 1):
+        if quotient is p and rank and search(quotient, rank - 1, key):
             fail("minimality", f"embeds into width {rank - 1} < tame rank {rank}")
     else:
         x, x2, y, y2 = witness
         width = min(len(p), 8)
         if not p.less(x, y) or not p.less(x2, y2) or p.less(x2, y) or p.less(x, y2):
             fail("embed-nontame", f"witness {witness!r} is no induced 2+2")
-        else:
-            if width not in verdicts:
-                verdicts[width] = _embeds(pattern_r22(), r_lambda(width), _Budget(budget))
-            if verdicts[width]:
-                fail("embed-nontame", f"2+2 embedded into width {width}")
+        elif search(_R22, width, "2+2"):
+            fail("embed-nontame", f"2+2 embedded into width {width}")
     return tame_here, failures
 
 

@@ -1037,6 +1037,30 @@ def test_out_of_memory_is_one_typed_document():
             assert child.stdout == ""
 
 
+def test_unencodable_label_is_an_output_error(tmp_path):
+    # a stdout whose encoding cannot write a label fails like any other
+    # stdout write: exit 1 and one stderr line, the lines before it kept;
+    # --json escapes every non-ASCII label, so it prints and exits 0
+    accented = tmp_path / "accented.poset"
+    accented.write_text("elements: é b\nrel: é b\n", encoding="utf-8")
+    program = (
+        "import sys\n"
+        "sys.stdout.reconfigure(encoding='ascii')\n"
+        "from tameorders.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    for verb in ("check", "reduce", "embed"):
+        child = run_child("-c", program, verb, str(accented))
+        assert child.returncode == 1, verb
+        assert child.stderr.startswith("'ascii' codec can't encode character '\\xe9'")
+        assert child.stderr.count("\n") == 1
+        if verb == "check":
+            assert child.stdout == "tame\ntame rank: 2\ncanonical embedding:\n"
+        child = run_child("-c", program, verb, "--json", str(accented))
+        assert (child.returncode, child.stderr) == (0, ""), verb
+        assert "\\u00e9" in child.stdout and child.stdout.count("\n") == 1
+
+
 def test_closed_stdout_is_one_stderr_line(corpus_files, tmp_path):
     # stdout is a pipe whose reader has gone: the first write to the pipe
     # raises BrokenPipeError, and no error document can follow it there.

@@ -453,7 +453,7 @@ class TestSearchVerdicts:
     def test_nontame_verdict_is_kept_by_width(self):
         verdicts = {}
         assert check_poset(self.NONTAME, budget=526, verdicts=verdicts) == (False, [])
-        assert verdicts == {8: False}
+        assert verdicts == {("2+2", 8): False}
         assert check_poset(self.NONTAME, budget=0, verdicts=verdicts) == (False, [])
 
     def test_search_over_budget_stores_nothing(self):
@@ -502,9 +502,10 @@ class TestSearchVerdicts:
         assert len(verdicts) == sum(classes) + classes[-1] + 1
 
     def test_every_labeling_spends_the_same_nodes(self, monkeypatch):
-        # the searches take equally related points by their (m, M) pairs, so
-        # each of the 120 labelings of the intervals [0,0] [0,1] [1,2] [2,3]
-        # [3,3] spends 13 nodes; taken by index, they spent 11 to 19
+        # the searches take equally related points by down-set size, which
+        # orders them as their (m, M) pairs do, so each of the 120 labelings
+        # of the intervals [0,0] [0,1] [1,2] [2,3] [3,3] spends 13 nodes;
+        # taken by index, they spent 11 to 19
         pairs = [("a", "c"), ("a", "d"), ("a", "e"), ("b", "d"), ("b", "e"), ("c", "e")]
         real, spent = embedding._Budget.spend, []
 

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import random
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -485,6 +488,67 @@ class TestFishburnCensus:
         if n <= 7:
             assert zero_one == oracle_zero_one_fishburn(n)
         assert labeled == zagier_exponential_series(n)[n] == A079144[n]
+
+
+def random_fishburn_matrix(rng, n: int, k: int) -> Counter:
+    """A random k x k Fishburn matrix of weight n: {(a, b): entry}, a <= b.
+
+    Each row gets one unit at a random cell, then each column still empty
+    gets one, so no row or column is zero; the rest of the weight goes to
+    random cells.
+    """
+    cells = Counter((a, rng.randrange(a, k)) for a in range(k))
+    covered = {b for _, b in cells}
+    cells.update((rng.randrange(b + 1), b) for b in range(k) if b not in covered)
+    spare = n - sum(cells.values())
+    assert spare >= 0
+    cells.update(tuple(sorted((rng.randrange(k), rng.randrange(k)))) for _ in range(spare))
+    return cells
+
+
+class TestFishburnAtScale:
+    """Random Fishburn matrices at benchmark sizes, each its own answer.
+
+    The order of a k x k matrix with no zero row or column has tame rank
+    k, its ``reduce`` classes are the nonzero cells with the entries as
+    their sizes, and every element's (m, M) and ``realize`` label name its
+    cell.  The order is built pair by pair from shuffled elements.
+    """
+
+    @pytest.mark.parametrize("n, k, seed", [(2000, 150, 1), (2000, 1000, 2)])
+    def test_matrix_is_the_answer(self, n, k, seed):
+        rng = random.Random(seed)
+        cells = random_fishburn_matrix(rng, n, k)
+        elements = [(a, b, c) for (a, b), v in cells.items() for c in range(v)]
+        rng.shuffle(elements)
+        by_start = sorted(elements)
+        starts = [x[0] for x in by_start]
+        pairs = [(x, y) for x in elements for y in by_start[bisect_right(starts, x[1]):]]
+        p = build_poset(elements, pairs)
+        assert tame_rank(p) == k
+        reduction = reduce(p)
+        class_of_cell = {}
+        for x, c in reduction.class_of.items():
+            assert class_of_cell.setdefault(x[:2], c) == c
+        assert len(set(class_of_cell.values())) == len(cells) == len(reduction.quotient)
+        q = reduction.quotient
+        coordinates = is_tame(q).coordinates
+        for x, c in reduction.class_of.items():
+            assert coordinates[q.elements[c]] == x[:2]
+        mapping = realize(p).iso.mapping
+        assert len(mapping) == n
+        assert all(oracle_point(label) == x[:2] for label, x in mapping.items())
+        # a 2+2 planted on four fresh elements, incomparable to the rest:
+        # the witness must be an induced 2+2
+        fresh = [("x",), ("x2",), ("y",), ("y2",)]
+        for w in fresh:
+            elements.insert(rng.randrange(len(elements) + 1), w)
+        planted = build_poset(elements, pairs + [(fresh[0], fresh[2]), (fresh[1], fresh[3])])
+        witness = embeds_r22(planted)
+        assert witness is not None and len(set(witness)) == 4
+        x, x2, y, y2 = witness
+        for u, v in itertools.permutations(witness, 2):
+            assert planted.less(u, v) == ((u, v) in {(x, y), (x2, y2)}), (u, v)
 
 
 class TestRigidityAndDuality:

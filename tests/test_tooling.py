@@ -9,6 +9,7 @@ cycle, every public function or class is exported or used by the package,
 the only exported names no module reads are the search and check API,
 no function takes a ``bool`` parameter with a default, no module of the
 pipeline writes JSON, every module parses at the declared Python floor,
+every other Python 3.10 or later found prints a pinned CLI corpus alike,
 and importing the CLI loads none of ``dataclasses``, ``inspect``,
 ``argparse`` and ``gettext``.  Every test runs under a time limit, and
 one that overruns it fails alone.
@@ -16,8 +17,10 @@ one that overruns it fails alone.
 
 import argparse
 import ast
+import hashlib
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -408,6 +411,74 @@ def test_every_module_parses_at_the_declared_python_floor():
     version = (int(floor[1]), int(floor[2]))
     for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+# a pinned corpus whose stdout every supported interpreter must print alike
+CORPUS = [
+    ["verify", "--json", "--n", "4"],
+    ["gen", "--json", "--r-lambda", "6"],
+    ["gen", "--random", "40", "0.3", "7"],
+]
+PROBE = "import os, sys; print(sys.version_info >= (3, 10), os.path.realpath(sys.executable))"
+
+
+def corpus_digest(python: str) -> str:
+    """SHA-256 of the exit codes and stdout of CORPUS run under ``python``.
+
+    The children import tameorders from this checkout and write no bytecode.
+    """
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    digest = hashlib.sha256()
+    for argv in CORPUS:
+        child = subprocess.run(
+            [python, "-m", "tameorders", *argv],
+            capture_output=True, text=True, env=env, timeout=60, check=False,
+        )
+        digest.update(f"{child.returncode}\n{child.stdout}".encode())
+    return digest.hexdigest()[:16]
+
+
+def other_interpreters() -> list[str]:
+    """Every Python >= 3.10 found besides this one, each by its real path.
+
+    The candidates are ``python3.1x`` on PATH and each interpreter under
+    ``pyenv root``'s ``versions/``; a candidate that fails to start (an
+    inactive pyenv shim, say), hangs or is older is skipped.
+    """
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    if shutil.which("pyenv"):
+        root = subprocess.run(
+            ["pyenv", "root"], capture_output=True, text=True, timeout=30, check=False
+        ).stdout.strip()
+        if root:
+            candidates += sorted(map(str, Path(root).glob("versions/*/bin/python3")))
+    found = {os.path.realpath(sys.executable)}
+    others = []
+    for candidate in filter(None, candidates):
+        try:
+            probe = subprocess.run(
+                [candidate, "-c", PROBE], capture_output=True, text=True, timeout=30,
+                check=False,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        supported, _, real = probe.stdout.strip().partition(" ")
+        if probe.returncode == 0 and supported == "True" and real not in found:
+            found.add(real)
+            others.append(real)
+    return others
+
+
+def test_every_interpreter_prints_the_same_bytes():
+    # the floor is 3.10 while the suite runs on one interpreter; nothing is
+    # installed, so the test skips where no other one is found
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other Python >= 3.10 found")
+    expected = corpus_digest(sys.executable)
+    assert {python: corpus_digest(python) for python in others} == dict.fromkeys(
+        others, expected
+    )
 
 
 def test_the_core_writes_no_json():
